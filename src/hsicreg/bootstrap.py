@@ -20,7 +20,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -29,7 +29,7 @@ from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
 from .hsic import hsic_vstat, prepare_stat
 from .kernels import KernelSpec, as_points, gram_matrix, resolve_bandwidth
-from .linreg import Dataset, DesignSpec, evaluate_design, fit_ols, standardize_dataset
+from .linreg import Dataset, DesignSpec, fit_ols
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,18 @@ def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
     )
 
 
-def _map_replicates(fn: Callable[[int], float], config: BootstrapConfig) -> np.ndarray:
-    """Evaluate ``fn`` for replicates 0..B-1; values do not depend on worker count."""
-    B = int(config.replicates)
-    workers = int(config.workers) or os.cpu_count() or 1
+def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` processes (0 = one per CPU).
+
+    Results keep item order, so they never depend on the worker count; with
+    more than one worker, ``fn`` and the items must pickle.
+    """
+    workers = int(workers) or os.cpu_count() or 1
     if workers == 1:
-        values = [fn(b) for b in range(B)]
-    else:
-        chunk = max(1, -(-B // (workers * 4)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(fn, range(B), chunksize=chunk))
-    return np.asarray(values, dtype=float)
+        return [fn(item) for item in items]
+    chunk = max(1, -(-len(items) // (workers * 4)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def bootstrap_null_draws(
@@ -146,7 +147,8 @@ def _draws_for(prep, config: BootstrapConfig) -> np.ndarray:
         kernel_e=prep.kernel_e,
         seed=config.seed,
     )
-    return _map_replicates(partial(_null_draw, snap), config)
+    draws = parallel_map(partial(_null_draw, snap), range(int(config.replicates)), config.workers)
+    return np.asarray(draws, dtype=float)
 
 
 def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
@@ -217,8 +219,8 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     gram_v = gram_matrix(pv, resolve_bandwidth(kernel_v, pv))
     observed = hsic_vstat(gram_u, gram_v).value
     snap = _PermSnapshot(gram_u, gram_v, observed, config.seed)
-    exceed = _map_replicates(partial(_perm_exceeds, snap), config)
-    return (1 + int(exceed.sum())) / (int(config.replicates) + 1)
+    exceed = parallel_map(partial(_perm_exceeds, snap), range(int(config.replicates)), config.workers)
+    return (1 + sum(exceed)) / (int(config.replicates) + 1)
 
 
 #: Below this many replications per arm the contrast's KS comparison is flagged.
@@ -236,6 +238,31 @@ class ContrastResult:
     n: int
     reps: int
     undersampled: bool
+
+
+def _contrast_rep(
+    sampler: Callable[[int, np.random.Generator], tuple[Dataset, np.ndarray]],
+    design: DesignSpec,
+    kernel_x: KernelSpec,
+    kernel_e: KernelSpec,
+    n: int,
+    seed: int,
+    standardize: bool,
+    both_arms_use_errors: bool,
+    replication: int,
+) -> tuple[float, float]:
+    """(residual arm, error arm) scaled statistics for one contrast replication."""
+    data, errors = sampler(n, substream(seed, replication))
+    errors = np.asarray(errors, dtype=float)
+    if data.n != n:
+        raise ValueError(f"sampler returned {data.n} rows, expected {n}")
+    if errors.shape != (data.n,):
+        raise ValueError(f"sampler returned errors of shape {errors.shape} for n={data.n}")
+    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
+    if prep.scales is not None:
+        errors = errors / prep.scales.response_sd
+    err_arm = n * hsic_vstat(prep.gram_x, gram_matrix(errors, prep.kernel_e)).value
+    return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
 
 
 def null_distribution_contrast(
@@ -257,37 +284,20 @@ def null_distribution_contrast(
     response's sample sd so both arms live in the same units.  With
     ``both_arms_use_errors`` the residual arm is replaced by the error arm —
     the distributions then coincide by construction (a self-check).
+
+    Replications run on ``config.workers`` processes without changing the
+    result.  When ``config.workers != 1``, ``sampler`` must be picklable: a
+    module-level function or a ``functools.partial`` of one, not a closure.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    resid_stats = np.empty(reps)
-    error_stats = np.empty(reps)
-    for r in range(reps):
-        rng = substream(config.seed, r)
-        data, errors = sampler(n, rng)
-        errors = np.asarray(errors, dtype=float)
-        if data.n != n:
-            raise ValueError(f"sampler returned {data.n} rows, expected {n}")
-        if errors.shape != (data.n,):
-            raise ValueError(f"sampler returned errors of shape {errors.shape} for n={data.n}")
-        if standardize:
-            data_s, info = standardize_dataset(data)
-            errors_s = errors / info.response_sd
-        else:
-            data_s, errors_s = data, errors
-        model = fit_ols(evaluate_design(data_s.predictors, design), data_s.response)
-        kx = resolve_bandwidth(kernel_x, data_s.predictors)
-        ke = resolve_bandwidth(kernel_e, model.residuals)
-        gram_x = gram_matrix(data_s.predictors, kx)
-        err_arm = n * hsic_vstat(gram_x, gram_matrix(errors_s, ke)).value
-        if both_arms_use_errors:
-            resid_arm = err_arm
-        else:
-            resid_arm = n * hsic_vstat(gram_x, gram_matrix(model.residuals, ke)).value
-        resid_stats[r] = resid_arm
-        error_stats[r] = err_arm
+    rep = partial(
+        _contrast_rep, sampler, design, kernel_x, kernel_e, n, config.seed, standardize, both_arms_use_errors
+    )
+    arms = np.asarray(parallel_map(rep, range(reps), config.workers), dtype=float)
+    resid_stats, error_stats = arms.T
     ks = ks_2samp(resid_stats, error_stats, method="asymp")
     undersampled = reps < _CONTRAST_MIN_REPS
     if undersampled:

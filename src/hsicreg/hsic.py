@@ -9,7 +9,9 @@ side on purpose:
   row-linked averages), kept as a cross-check oracle.
 
 Both are exercised against each other and against literal nested-loop sums in
-the test suite; neither may be redefined in terms of the other.
+the test suite; neither may be redefined in terms of the other.  Both sum in
+plain float64 at every n, so results do not depend on the platform's
+``long double`` width.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _LONGDOUBLE_N, KernelSpec, as_points, center_gram, gram_matrix, resolve_bandwidth
-from .linreg import Dataset, DesignSpec, FittedModel, build_design, fit_ols, standardize_dataset
+from .kernels import KernelSpec, as_points, center_gram, gram_matrix, resolve_bandwidth
+from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, build_design, fit_ols, standardize_dataset
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,7 @@ def hsic_vstat(K, L) -> HsicValue:
     centering matrix H.
     """
     K, L, n = _check_gram_pair(K, L)
-    prod = center_gram(K) * center_gram(L)
-    if n >= _LONGDOUBLE_N:
-        total = prod.sum(dtype=np.longdouble)
-    else:
-        total = prod.sum()
+    total = (center_gram(K) * center_gram(L)).sum()
     return HsicValue(float(total / n**2), n)
 
 
@@ -67,13 +65,12 @@ def hsic_sums(K, L) -> HsicValue:
     folded through row sums.
     """
     K, L, n = _check_gram_pair(K, L)
-    dt = np.longdouble if n >= _LONGDOUBLE_N else np.float64
-    pair = (K * L).sum(dtype=dt)
-    total_k = K.sum(dtype=dt)
-    total_l = L.sum(dtype=dt)
-    rows_k = K.sum(axis=1, dtype=dt)
-    rows_l = L.sum(axis=1, dtype=dt)
-    linked = (rows_k * rows_l).sum(dtype=dt)
+    pair = (K * L).sum()
+    total_k = K.sum()
+    total_l = L.sum()
+    rows_k = K.sum(axis=1)
+    rows_l = L.sum(axis=1)
+    linked = (rows_k * rows_l).sum()
     value = pair / n**2 + total_k * total_l / n**4 - 2.0 * linked / n**3
     return HsicValue(float(value), n)
 
@@ -101,7 +98,11 @@ class PreparedStat:
     gram_x: np.ndarray
     gram_e: np.ndarray
     observed: HsicValue
-    standardized: bool
+    scales: StandardizeInfo | None  # None when the data were used unstandardized
+
+    @property
+    def standardized(self) -> bool:
+        return self.scales is not None
 
 
 def prepare_stat(
@@ -112,8 +113,9 @@ def prepare_stat(
     standardize: bool = True,
 ) -> PreparedStat:
     """Standardize (optionally), fit, resolve bandwidths, and compute the statistic once."""
+    scales = None
     if standardize:
-        data = standardize_dataset(data)[0]
+        data, scales = standardize_dataset(data)
     G = build_design(data, design)
     model = fit_ols(G, data.response)
     kx = resolve_bandwidth(kernel_x, data.predictors)
@@ -129,7 +131,7 @@ def prepare_stat(
         gram_x=K,
         gram_e=L,
         observed=hsic_vstat(K, L),
-        standardized=standardize,
+        scales=scales,
     )
 
 

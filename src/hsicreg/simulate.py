@@ -33,8 +33,6 @@ n in the low hundreds.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -42,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rng import derive_seed, substream
-from .bootstrap import BootstrapConfig, run_test
+from .bootstrap import BootstrapConfig, parallel_map, run_test
 from .errors import BootstrapAbortError
 from .kernels import KernelSpec
 from .linreg import Dataset, DesignSpec
@@ -285,7 +283,7 @@ def power_study(
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     tasks = [(c, t) for c in range(len(grid)) for t in range(reps)]
     runner = partial(_power_trial, grid=grid, alpha=alpha, config=config, sampler=sampler, design=design)
-    outcomes = _run_trials(runner, tasks, config.workers)
+    outcomes = parallel_map(runner, tasks, config.workers)
     cells = []
     for c, spec in enumerate(grid):
         mine = [(rej, ab) for cell, rej, ab in outcomes if cell == c]
@@ -308,15 +306,6 @@ def power_study(
             )
         )
     return PowerTable(tuple(cells), float(alpha), int(config.replicates), int(config.seed))
-
-
-def _run_trials(runner, tasks, workers: int):
-    workers = int(workers) or os.cpu_count() or 1
-    if workers == 1:
-        return [runner(task) for task in tasks]
-    chunk = max(1, -(-len(tasks) // (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(runner, tasks, chunksize=chunk))
 
 
 def monotonicity_report(table: PowerTable) -> list["MonotonicityFlag"]:

@@ -50,14 +50,18 @@ def literal_sums(K, L):
 
 
 def fsum_hsic(K, L):
-    """Exactly rounded three-sum evaluation, order-independent by construction."""
+    """Exactly rounded three-sum evaluation, order-independent by construction.
+
+    Each sum is one ``math.fsum`` over the entries (products rounded once, as
+    in a per-element loop), so the oracle stays usable at n in the thousands.
+    """
     n = K.shape[0]
-    pair = math.fsum(K[i, j] * L[i, j] for i in range(n) for j in range(n))
-    total_k = math.fsum(K[i, j] for i in range(n) for j in range(n))
-    total_l = math.fsum(L[i, j] for i in range(n) for j in range(n))
-    rows_k = [math.fsum(K[i, j] for j in range(n)) for i in range(n)]
-    rows_l = [math.fsum(L[i, j] for j in range(n)) for i in range(n)]
-    linked = math.fsum(rows_k[i] * rows_l[i] for i in range(n))
+    pair = math.fsum((K * L).ravel().tolist())
+    total_k = math.fsum(K.ravel().tolist())
+    total_l = math.fsum(L.ravel().tolist())
+    rows_k = [math.fsum(row) for row in K.tolist()]
+    rows_l = [math.fsum(row) for row in L.tolist()]
+    linked = math.fsum(rk * rl for rk, rl in zip(rows_k, rows_l))
     return pair / n**2 + total_k * total_l / n**4 - 2.0 * linked / n**3
 
 
@@ -128,6 +132,16 @@ def test_relabeling_invariance():
     assert fsum_hsic(Kp, Lp) == fsum_hsic(K, L)
     assert hsic_vstat(Kp, Lp).value == pytest.approx(fsum_hsic(K, L), rel=1e-12)
     assert hsic_vstat(K, L).value == pytest.approx(fsum_hsic(K, L), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_both_routes_match_fsum_oracle_at_large_n(n):
+    """Plain float64 sums stay within 1e-10 of the exactly rounded oracle at large n."""
+    rng = np.random.default_rng(59 + n)
+    K, L = random_gram_pair(rng, n)
+    want = fsum_hsic(K, L)
+    assert hsic_vstat(K, L).value == pytest.approx(want, rel=1e-10)
+    assert hsic_sums(K, L).value == pytest.approx(want, rel=1e-10)
 
 
 def test_value_is_nonnegative():
