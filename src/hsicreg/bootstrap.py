@@ -19,7 +19,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.stats import ks_2samp
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import hsic_vstat, prepare_stat
+from .hsic import hsic_vstat, prepare_stat, vstat_in_place
 from .kernels import KernelSpec, as_points, gram_matrix, resolve_bandwidth
 from .linreg import Dataset, DesignSpec, fit_ols
 
@@ -81,8 +81,32 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     return idx_x, idx_e
 
 
+class _Buffered:
+    """Three n x n work buffers for a snapshot's replicates.
+
+    They are made on first use in each process, reused by every later
+    replicate there, and dropped with the snapshot.
+    """
+
+    n: int
+
+    @cached_property
+    def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.empty((self.n, self.n)), np.empty((self.n, self.n)), np.empty((self.n, self.n))
+
+
+def _gather(gram: np.ndarray, idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``gram[np.ix_(idx, idx)]`` written into ``out``, with ``rows`` as scratch.
+
+    ``mode="clip"`` keeps ``take`` from allocating a hidden output buffer;
+    the indices are always in range.
+    """
+    np.take(gram, idx, axis=0, out=rows, mode="clip")
+    return np.take(rows, idx, axis=1, out=out, mode="clip")
+
+
 @dataclass(frozen=True)
-class _NullSnapshot:
+class _NullSnapshot(_Buffered):
     """Frozen state a null replicate needs: original design rows, Gram, fit, kernel."""
 
     design: np.ndarray
@@ -92,9 +116,13 @@ class _NullSnapshot:
     kernel_e: KernelSpec
     seed: int
 
+    @property
+    def n(self) -> int:
+        return self.centered_residuals.shape[0]
+
 
 def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
-    n = snap.centered_residuals.shape[0]
+    n = snap.n
     for redraw in (0, 1):
         idx_x, idx_e = replicate_indices(snap.seed, replicate, n, redraw)
         design = snap.design[idx_x]
@@ -103,26 +131,44 @@ def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
             refit = fit_ols(design, response)
         except SingularDesignError:
             continue
-        gram_x = snap.gram_x[np.ix_(idx_x, idx_x)]
-        gram_e = gram_matrix(refit.residuals, snap.kernel_e)
-        return float(n * hsic_vstat(gram_x, gram_e).value)
+        rows, gram_x, gram_e = snap.buffers
+        _gather(snap.gram_x, idx_x, rows, gram_x)
+        gram_matrix(refit.residuals, snap.kernel_e, out=gram_e)
+        return float(n * vstat_in_place(gram_x, gram_e).value)
     raise BootstrapAbortError(
         f"replicate {replicate}: singular refit on the draw and its one redraw; aborting"
     )
 
 
+#: The function a pool worker applies to each item.  Set only inside worker
+#: processes, once each, by the pool initializer; the calling process never sets it.
+_worker_fn: Callable | None = None
+
+
+def _install_worker_fn(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _apply_worker_fn(item):
+    return _worker_fn(item)
+
+
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]`` on ``workers`` processes (0 = one per CPU).
 
-    Results keep item order, so they never depend on the worker count; with
-    more than one worker, ``fn`` and the items must pickle.
+    Results keep item order, so they never depend on the worker count.  With
+    more than one worker, ``fn`` is installed once per worker by the pool's
+    initializer (inherited without pickling under ``fork``), so the chunks
+    carry only items; ``fn`` and the items must still pickle for the other
+    start methods.
     """
     workers = int(workers) or os.cpu_count() or 1
     if workers == 1:
         return [fn(item) for item in items]
     chunk = max(1, -(-len(items) // (workers * 4)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install_worker_fn, initargs=(fn,)) as pool:
+        return list(pool.map(_apply_worker_fn, items, chunksize=chunk))
 
 
 def bootstrap_null_draws(
@@ -191,18 +237,23 @@ def run_test(
 
 
 @dataclass(frozen=True)
-class _PermSnapshot:
+class _PermSnapshot(_Buffered):
     gram_u: np.ndarray
     gram_v: np.ndarray
     observed: float
     seed: int
 
+    @property
+    def n(self) -> int:
+        return self.gram_u.shape[0]
+
 
 def _perm_exceeds(snap: _PermSnapshot, replicate: int) -> bool:
-    n = snap.gram_u.shape[0]
-    perm = substream(snap.seed, replicate).permutation(n)
-    permuted = snap.gram_v[np.ix_(perm, perm)]
-    return bool(hsic_vstat(snap.gram_u, permuted).value >= snap.observed)
+    perm = substream(snap.seed, replicate).permutation(snap.n)
+    rows, gram_u, permuted = snap.buffers
+    _gather(snap.gram_v, perm, rows, permuted)
+    np.copyto(gram_u, snap.gram_u)
+    return bool(vstat_in_place(gram_u, permuted).value >= snap.observed)
 
 
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:

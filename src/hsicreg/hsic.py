@@ -4,7 +4,8 @@ Two algebraically independent routes to the same estimate are kept side by
 side on purpose:
 
 * :func:`hsic_vstat` — the production path, trace of the product of doubly
-  centered Gram matrices, evaluated through row/column/grand means in O(n^2);
+  centered Gram matrices, evaluated through row/column/grand means in O(n^2)
+  (:func:`vstat_in_place` is the same arithmetic on caller-owned buffers);
 * :func:`hsic_sums` — the explicit three-sum form (pair, full-average, and
   row-linked averages), kept as a cross-check oracle.
 
@@ -46,15 +47,31 @@ def _check_gram_pair(K, L) -> tuple[np.ndarray, np.ndarray, int]:
     return K, L, K.shape[0]
 
 
+def vstat_in_place(K: np.ndarray, L: np.ndarray) -> HsicValue:
+    """The V-statistic from two Gram matrices, overwriting both.
+
+    Computes n^-2 sum_ij (HKH)_ij (HLH)_ij without materializing the
+    centering matrix H: both matrices are centered in place and their
+    elementwise product is written into ``K`` before the sum.  ``K`` and
+    ``L`` must be distinct float64 buffers; this is the allocation-free
+    kernel behind :func:`hsic_vstat` and the null replicates.
+    """
+    K, L, n = _check_gram_pair(K, L)
+    if np.may_share_memory(K, L):
+        raise ValueError("vstat_in_place needs two distinct buffers")
+    center_gram(K, out=K)
+    center_gram(L, out=L)
+    total = np.multiply(K, L, out=K).sum()
+    return HsicValue(float(total / n**2), n)
+
+
 def hsic_vstat(K, L) -> HsicValue:
     """The V-statistic from two Gram matrices, via double centering.
 
-    Computes n^-2 sum_ij (HKH)_ij (HLH)_ij without materializing the
-    centering matrix H.
+    Computes n^-2 sum_ij (HKH)_ij (HLH)_ij on copies, so neither input is
+    changed.
     """
-    K, L, n = _check_gram_pair(K, L)
-    total = (center_gram(K) * center_gram(L)).sum()
-    return HsicValue(float(total / n**2), n)
+    return vstat_in_place(np.array(K, dtype=float), np.array(L, dtype=float))
 
 
 def hsic_sums(K, L) -> HsicValue:

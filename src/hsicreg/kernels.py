@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from .errors import DegenerateDataError
 
@@ -101,27 +101,46 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     return replace(spec, bandwidth=median_heuristic(points), rule=FIXED)
 
 
-def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
-    """The n x n Gram matrix of ``points`` under ``spec``.
+def gram_matrix(points, spec: KernelSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """The n x n Gram matrix of ``points`` under ``spec``, written into ``out`` if given.
 
-    Built from condensed pairwise distances, so the result is exactly
-    symmetric with an exact unit diagonal.
+    Squared distances are summed one coordinate at a time, in coordinate
+    order, exactly as ``pdist(points, "sqeuclidean")`` sums them, so the bits
+    match the pairwise-distance construction; the result is exactly symmetric
+    with an exact unit diagonal.  With a p-column input and p > 1, one n x n
+    temporary is allocated for the per-coordinate terms.
     """
     pts = as_points(points)
     resolved = resolve_bandwidth(spec, pts)
-    sq = squareform(pdist(pts, metric="sqeuclidean"))
-    return np.exp(-sq / (resolved.bandwidth * resolved.bandwidth))
+    n = pts.shape[0]
+    if out is None:
+        out = np.empty((n, n))
+    first, *rest = pts.T
+    np.subtract.outer(first, first, out=out)
+    np.multiply(out, out, out=out)
+    term = np.empty((n, n)) if rest else None
+    for coord in rest:
+        np.subtract.outer(coord, coord, out=term)
+        np.multiply(term, term, out=term)
+        np.add(out, term, out=out)
+    np.divide(out, -(resolved.bandwidth * resolved.bandwidth), out=out)
+    return np.exp(out, out=out)
 
 
-def center_gram(gram: np.ndarray) -> np.ndarray:
+def center_gram(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Doubly center a Gram matrix (subtract row and column means, add back the grand mean).
 
     Equivalent to H K H with H = I - (1/n) 11', without materializing H; row
-    and column sums of the result vanish up to rounding.
+    and column sums of the result vanish up to rounding.  The result is
+    written into ``out`` if given, which may be ``gram`` itself: all three
+    means are taken before anything is written.
     """
     K = np.asarray(gram, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
     row = K.mean(axis=1)
     col = K.mean(axis=0)
-    return K - row[:, None] - col[None, :] + row.mean()
+    grand = row.mean()
+    out = np.subtract(K, row[:, None], out=out)
+    np.subtract(out, col[None, :], out=out)
+    return np.add(out, grand, out=out)

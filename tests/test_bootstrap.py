@@ -1,5 +1,7 @@
 """Null calibration: resampling streams, the bootstrap loop, and baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from hsicreg import (
     replicate_indices,
     run_test,
 )
-from hsicreg.bootstrap import _NullSnapshot, _null_draw
+from hsicreg.bootstrap import _NullSnapshot, _null_draw, parallel_map
+from hsicreg._rng import substream
+from hsicreg.hsic import hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, gram_matrix
 from hsicreg.linreg import fit_ols
 
@@ -75,6 +79,69 @@ def test_null_draws_reproducible_and_worker_invariant():
     np.testing.assert_array_equal(one, two)
     assert one.shape == (40,)
     assert np.isfinite(one).all() and (one >= -1e-12).all()
+
+
+def _snapshot_for(data, design, seed):
+    prep = prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4))
+    return _NullSnapshot(
+        design=prep.design,
+        gram_x=prep.gram_x,
+        beta_hat=prep.model.beta_hat,
+        centered_residuals=prep.model.centered_residuals,
+        kernel_e=prep.kernel_e,
+        seed=seed,
+    )
+
+
+def test_replicate_allocates_no_n_by_n_array():
+    """After a warm-up replicate, replicates reuse the snapshot's buffers.
+
+    numpy reports its data buffers to tracemalloc, so the traced peak over ten
+    replicates must stay below one n x n float64 array.
+    """
+    n = 300
+    snap = _snapshot_for(toy_data(72, n=n, d0=4), DesignSpec.main_effects(4), seed=3)
+    _null_draw(snap, 0)
+    tracemalloc.start()
+    try:
+        for b in range(1, 11):
+            _null_draw(snap, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, f"traced peak {peak} bytes = {peak / (8 * n * n):.2f} n x n arrays"
+
+
+def test_buffered_replicates_equal_allocating_reference():
+    """Replicates that reuse one snapshot's buffers match a from-scratch computation, bit for bit."""
+    snap = _snapshot_for(toy_data(74, n=60, d0=3), DesignSpec.main_effects(3), seed=5)
+    for b in range(6):
+        idx_x, idx_e = replicate_indices(5, b, 60)
+        refit = fit_ols(snap.design[idx_x], snap.design[idx_x] @ snap.beta_hat + snap.centered_residuals[idx_e])
+        gram_x = snap.gram_x[np.ix_(idx_x, idx_x)]
+        want = 60 * hsic_vstat(gram_x, gram_matrix(refit.residuals, snap.kernel_e)).value
+        assert _null_draw(snap, b) == want, b
+
+
+_REDUCED = []
+
+
+class _CountedSquare:
+    """Squares an item; counts how often this process pickles it."""
+
+    def __reduce__(self):
+        _REDUCED.append(1)
+        return (_CountedSquare, ())
+
+    def __call__(self, item):
+        return item * item
+
+
+def test_parallel_map_ships_fn_once_per_worker():
+    _REDUCED.clear()
+    items = list(range(40))
+    assert parallel_map(_CountedSquare(), items, 2) == [i * i for i in items]
+    assert len(_REDUCED) <= 2
 
 
 def test_null_draws_change_with_seed():
@@ -221,6 +288,20 @@ class TestPermutationBaseline:
         v = rng.normal(size=80)
         p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=199, seed=2))
         assert p > 0.05
+
+    def test_matches_allocating_reference(self):
+        rng = np.random.default_rng(84)
+        u = rng.normal(size=(30, 2))
+        v = u[:, 0] + rng.normal(size=30)
+        gram_u = gram_matrix(u, KernelSpec())
+        gram_v = gram_matrix(v, KernelSpec())
+        observed = hsic_vstat(gram_u, gram_v).value
+        exceed = 0
+        for b in range(49):
+            perm = substream(6, b).permutation(30)
+            exceed += hsic_vstat(gram_u, gram_v[np.ix_(perm, perm)]).value >= observed
+        p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=49, seed=6))
+        assert p == (1 + exceed) / 50
 
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)

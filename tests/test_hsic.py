@@ -16,7 +16,7 @@ from hsicreg import (
     hsic_vstat,
     residual_hsic_stat,
 )
-from hsicreg.hsic import prepare_stat
+from hsicreg.hsic import prepare_stat, vstat_in_place
 from hsicreg.kernels import MEDIAN
 
 
@@ -142,6 +142,27 @@ def test_both_routes_match_fsum_oracle_at_large_n(n):
     want = fsum_hsic(K, L)
     assert hsic_vstat(K, L).value == pytest.approx(want, rel=1e-10)
     assert hsic_sums(K, L).value == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 31, 400])
+def test_in_place_kernel_equals_hsic_vstat(n):
+    rng = np.random.default_rng(60 + n)
+    K, L = random_gram_pair(rng, n)
+    assert vstat_in_place(K.copy(), L.copy()).value == hsic_vstat(K, L).value
+
+
+def test_hsic_vstat_leaves_inputs_unchanged():
+    rng = np.random.default_rng(61)
+    K, L = random_gram_pair(rng, 29)
+    K0, L0 = K.copy(), L.copy()
+    hsic_vstat(K, L)
+    assert np.array_equal(K, K0) and np.array_equal(L, L0)
+
+
+def test_in_place_kernel_rejects_shared_buffers():
+    K = np.ones((4, 4))
+    with pytest.raises(ValueError):
+        vstat_in_place(K, K)
 
 
 def test_value_is_nonnegative():

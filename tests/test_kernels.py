@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from hsicreg import (
     DegenerateDataError,
@@ -119,6 +120,28 @@ def test_gram_matrix_one_dimensional_input():
     assert K[0, 2] == pytest.approx(math.exp(-9.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("n", [2, 57, 1000])
+def test_gram_matrix_bits_match_pairwise_distance_construction(n, p):
+    """Per-coordinate differences summed in pdist's order give the same bits."""
+    rng = np.random.default_rng(13 + n + p)
+    pts = rng.normal(size=(n, p)) * 3.0
+    bw = 1.7
+    want = np.exp(-squareform(pdist(pts, "sqeuclidean")) / bw**2)
+    assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=bw)), want)
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_gram_matrix_into_buffer(p):
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(33, p))
+    spec = KernelSpec(bandwidth=0.8)
+    buf = np.full((33, 33), np.nan)
+    got = gram_matrix(pts, spec, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, gram_matrix(pts, spec))
+
+
 def test_as_points_validation():
     assert as_points([1.0, 2.0]).shape == (2, 1)
     with pytest.raises(ValueError):
@@ -150,6 +173,24 @@ class TestCenterGram:
             K = gram_matrix(rng.normal(size=(n, 3)), KernelSpec(bandwidth=1.4))
             H = np.eye(n) - np.ones((n, n)) / n
             np.testing.assert_allclose(center_gram(K), H @ K @ H, atol=1e-14, err_msg=f"n={n}")
+
+    def test_in_place_equals_allocating(self):
+        """``out`` may alias the input: the means are taken before any write."""
+        rng = np.random.default_rng(24)
+        for n in (5, 300):
+            K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec(bandwidth=1.1))
+            want = center_gram(K)
+            got = center_gram(K, out=K)
+            assert got is K
+            assert np.array_equal(K, want), f"n={n}"
+
+    def test_operation_order(self):
+        """((K - row) - col) + grand, the means taken from the uncentered K."""
+        rng = np.random.default_rng(25)
+        K = gram_matrix(rng.normal(size=(64, 3)), KernelSpec())
+        row = K.mean(axis=1)
+        want = K - row[:, None] - K.mean(axis=0)[None, :] + row.mean()
+        assert np.array_equal(center_gram(K), want)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
