@@ -8,6 +8,8 @@ run, executed in-process:
     hsicreg test --input data.csv --response y --predictors x1,x2,x3,x4 \
         --design "1 + x1 + x2 + x3 + x4" --B 500 --format json
 
+No bandwidth flags are needed: ``test`` scales its kernels to the file's four
+predictors (2*sqrt(4) for the predictors, sqrt(2) for the residuals).
 model2's mean has an x2^2 term the fitted design omits (a=0.6), so the test
 should reject; rerun with --a 0 to see it hold the level instead.
 """
@@ -37,8 +39,7 @@ def main() -> None:
         code = cli([
             "test", "--input", str(data_path), "--response", "y",
             "--predictors", "x1,x2,x3,x4", "--design", "1 + x1 + x2 + x3 + x4",
-            "--B", str(B), "--bandwidth-x", "4.0", "--bandwidth-e", "1.4142135623730951",
-            "--out", str(out_path),
+            "--B", str(B), "--out", str(out_path),
         ])
         assert code == 0
         result = json.loads(out_path.read_text())

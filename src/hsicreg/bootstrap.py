@@ -27,8 +27,8 @@ from scipy.stats import ks_2samp
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import hsic_vstat, prepare_stat, vstat_in_place
-from .kernels import KernelSpec, as_points, gram_matrix, resolve_bandwidth
+from .hsic import hsic_vstat, pair_grams, prepare_stat, vstat_in_place
+from .kernels import KernelSpec, gram_matrix
 from .linreg import Dataset, DesignSpec, fit_ols
 
 
@@ -262,12 +262,7 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     Valid when the pairs themselves are i.i.d. (no fitted model in the loop);
     not a substitute for the residual bootstrap.
     """
-    pu = as_points(u)
-    pv = as_points(v)
-    if pu.shape[0] != pv.shape[0]:
-        raise ValueError(f"sample sizes differ: {pu.shape[0]} vs {pv.shape[0]}")
-    gram_u = gram_matrix(pu, resolve_bandwidth(kernel_u, pu))
-    gram_v = gram_matrix(pv, resolve_bandwidth(kernel_v, pv))
+    gram_u, gram_v = pair_grams(u, v, kernel_u, kernel_v)
     observed = hsic_vstat(gram_u, gram_v).value
     snap = _PermSnapshot(gram_u, gram_v, observed, config.seed)
     exceed = parallel_map(partial(_perm_exceeds, snap), range(int(config.replicates)), config.workers)

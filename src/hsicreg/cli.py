@@ -133,10 +133,18 @@ def _bandwidth(text: str):
         ) from None
 
 
-def _kernel_from_args(bandwidth) -> KernelSpec:
+def _kernel_from_flag(bandwidth, default: KernelSpec) -> KernelSpec:
+    if bandwidth is None:
+        return default
     if bandwidth == MEDIAN:
         return KernelSpec(rule=MEDIAN)
     return KernelSpec(bandwidth=float(bandwidth), rule=FIXED)
+
+
+def _kernels_from_args(args, dim: int) -> tuple[KernelSpec, KernelSpec]:
+    """The (predictor, residual) kernels; an unset flag takes ``study_kernels(dim)``'s kernel."""
+    default_x, default_e = study_kernels(dim)
+    return _kernel_from_flag(args.bandwidth_x, default_x), _kernel_from_flag(args.bandwidth_e, default_e)
 
 
 def _int_list(text: str) -> list[int]:
@@ -194,11 +202,12 @@ def _echo(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _model_spec(args, n: int | None = None) -> ModelSpec:
+def _model_spec(args, n: int, a: float, lam: float) -> ModelSpec:
+    """The cell ``(n, a, lam)`` of ``args.model``; an unset ``--noise-sd`` takes the model's default."""
     noise_sd = args.noise_sd
     if noise_sd is None:
         noise_sd = math.sqrt(0.1) if args.model == LINEAR1D else 1.0
-    return ModelSpec(model=args.model, n=n if n is not None else args.n, a=args.a, lam=args.lam, noise_sd=noise_sd)
+    return ModelSpec(model=args.model, n=n, a=a, lam=lam, noise_sd=noise_sd)
 
 
 def _dataset_for_test(args) -> tuple[Dataset, str]:
@@ -217,7 +226,7 @@ def _dataset_for_test(args) -> tuple[Dataset, str]:
         raise ValueError("provide either --input FILE --response NAME or --model NAME --n SIZE")
     if args.n is None:
         raise ValueError("--model requires --n SIZE")
-    spec = _model_spec(args)
+    spec = _model_spec(args, args.n, args.a, args.lam)
     sim = draw_model(spec, substream(args.seed, 0))
     _echo(f"simulated {spec.model} with n={spec.n}, a={spec.a}, lambda={spec.lam}")
     return sim.data, spec.model
@@ -225,18 +234,12 @@ def _dataset_for_test(args) -> tuple[Dataset, str]:
 
 def cmd_test(args) -> int:
     data, source = _dataset_for_test(args)
-    if args.design:
-        design = parse_design(args.design, data.names())
-    elif args.input:
-        design = DesignSpec.main_effects(data.d0)
-    else:
-        design = working_design(_model_spec(args))
+    design = parse_design(args.design, data.names()) if args.design else DesignSpec.main_effects(data.d0)
     config = BootstrapConfig(replicates=args.B, seed=derive_seed(args.seed, 1), workers=args.workers)
     result = run_test(
         data,
         design,
-        _kernel_from_args(args.bandwidth_x),
-        _kernel_from_args(args.bandwidth_e),
+        *_kernels_from_args(args, data.d0),
         config,
         alpha=args.alpha,
         standardize=not args.no_standardize,
@@ -273,7 +276,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _model_spec(args)
+    spec = _model_spec(args, args.n, args.a, args.lam)
     sim = draw_model(spec, substream(args.seed, 0))
     names = list(sim.data.names())
     columns = names + ["y", "error"]
@@ -298,12 +301,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_power(args) -> int:
-    grid = [
-        ModelSpec(model=args.model, n=n, a=a, lam=lam, noise_sd=args.noise_sd or 1.0)
-        for n in args.n
-        for a in args.a
-        for lam in args.lam
-    ]
+    grid = [_model_spec(args, n, a, lam) for n in args.n for a in args.a for lam in args.lam]
     config = BootstrapConfig(replicates=args.B, seed=args.seed, workers=args.workers)
     table = power_study(grid, args.alpha, config, args.reps)
     cells = [
@@ -344,11 +342,9 @@ def _contrast_sampler(spec: ModelSpec, n: int, rng: np.random.Generator):
 
 
 def cmd_contrast(args) -> int:
-    spec = _model_spec(args)
+    spec = _model_spec(args, args.n, args.a, args.lam)
     design = working_design(spec)
-    default_x, default_e = study_kernels(spec.dim)
-    kernel_x = default_x if args.bandwidth_x is None else _kernel_from_args(args.bandwidth_x)
-    kernel_e = default_e if args.bandwidth_e is None else _kernel_from_args(args.bandwidth_e)
+    kernel_x, kernel_e = _kernels_from_args(args, spec.dim)
     config = BootstrapConfig(replicates=1, seed=args.seed, workers=args.workers)
     result = null_distribution_contrast(
         partial(_contrast_sampler, spec),
@@ -403,8 +399,10 @@ def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bandwidth-x", type=_bandwidth, default=1.0, help="positive number or 'median'")
-    p.add_argument("--bandwidth-e", type=_bandwidth, default=1.0, help="positive number or 'median'")
+    p.add_argument("--bandwidth-x", type=_bandwidth, default=None,
+                   help="positive number or 'median' (default: 2*sqrt(d) for d predictors)")
+    p.add_argument("--bandwidth-e", type=_bandwidth, default=None,
+                   help="positive number or 'median' (default: sqrt(2))")
     p.add_argument("--no-standardize", action="store_true",
                    help="skip standardizing predictors and response before fitting")
 
@@ -454,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--a", type=_float_list, default=[0.0], help="comma-separated values")
     p_pow.add_argument("--lambda", dest="lam", type=_float_list, default=[0.0],
                        help="comma-separated values")
-    p_pow.add_argument("--noise-sd", type=float, default=None)
+    p_pow.add_argument("--noise-sd", type=float, default=None,
+                       help="base noise sd (default: sqrt(0.1) for linear1d, else 1)")
     p_pow.add_argument("--reps", type=int, default=300, help="Monte Carlo trials per cell")
     p_pow.add_argument("--B", type=int, default=500, help="bootstrap replicates per trial")
     p_pow.add_argument("--alpha", type=float, default=0.05)
@@ -467,11 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_con, n_required=True)
     p_con.set_defaults(model=LINEAR1D)
     _add_kernel_flags(p_con)
-    # None means "use the study bandwidths for this model's dimension".
-    p_con.set_defaults(bandwidth_x=None, bandwidth_e=None)
     p_con.add_argument("--reps", type=int, default=500, help="replications per arm")
     p_con.add_argument("--seed", type=int, default=0)
-    p_con.add_argument("--workers", type=int, default=1)
+    p_con.add_argument("--workers", type=int, default=1, help="0 = one per CPU")
     _add_output_flags(p_con, "json")
     p_con.set_defaults(handler=cmd_contrast)
 

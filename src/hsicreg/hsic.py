@@ -92,15 +92,18 @@ def hsic_sums(K, L) -> HsicValue:
     return HsicValue(float(value), n)
 
 
-def hsic_pairs_stat(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> HsicValue:
-    """The statistic for raw paired samples (u_i, v_i)."""
+def pair_grams(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices of raw paired samples (u_i, v_i), each under its own kernel."""
     pu = as_points(u)
     pv = as_points(v)
     if pu.shape[0] != pv.shape[0]:
         raise ValueError(f"sample sizes differ: {pu.shape[0]} vs {pv.shape[0]}")
-    K = gram_matrix(pu, resolve_bandwidth(kernel_u, pu))
-    L = gram_matrix(pv, resolve_bandwidth(kernel_v, pv))
-    return hsic_vstat(K, L)
+    return gram_matrix(pu, kernel_u), gram_matrix(pv, kernel_v)
+
+
+def hsic_pairs_stat(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> HsicValue:
+    """The statistic for raw paired samples (u_i, v_i)."""
+    return hsic_vstat(*pair_grams(u, v, kernel_u, kernel_v))
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ class PreparedStat:
     kernel_x: KernelSpec
     kernel_e: KernelSpec
     gram_x: np.ndarray
-    gram_e: np.ndarray
     observed: HsicValue
     scales: StandardizeInfo | None  # None when the data were used unstandardized
 
@@ -138,7 +140,6 @@ def prepare_stat(
     kx = resolve_bandwidth(kernel_x, data.predictors)
     ke = resolve_bandwidth(kernel_e, model.residuals)
     K = gram_matrix(data.predictors, kx)
-    L = gram_matrix(model.residuals, ke)
     return PreparedStat(
         data=data,
         design=G,
@@ -146,8 +147,7 @@ def prepare_stat(
         kernel_x=kx,
         kernel_e=ke,
         gram_x=K,
-        gram_e=L,
-        observed=hsic_vstat(K, L),
+        observed=hsic_vstat(K, gram_matrix(model.residuals, ke)),
         scales=scales,
     )
 

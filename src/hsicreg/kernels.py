@@ -5,9 +5,10 @@ The kernel convention throughout is
     k(u, v) = exp(-||u - v||^2 / bandwidth^2)
 
 i.e. the squared Euclidean distance divided by the squared bandwidth, with no
-extra factor of 2.  The default bandwidth is 1.0 and is meant to be applied to
-standardized variables; the median pairwise distance rule is available as an
-explicit opt-in.
+extra factor of 2.  ``KernelSpec()`` has bandwidth 1.0, for standardized
+variables; the median pairwise distance rule is an explicit opt-in.  The CLI
+and the Monte Carlo harness default instead to ``study_kernels(d)`` (2*sqrt(d)
+and sqrt(2)), which needs the data's dimension d that a constructor lacks.
 
 Every accumulation is plain float64 at every n, so results do not depend on
 the platform's ``long double`` width.

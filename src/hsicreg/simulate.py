@@ -191,12 +191,14 @@ def working_design(spec: ModelSpec) -> DesignSpec:
 
 
 def study_kernels(dim: int) -> tuple[KernelSpec, KernelSpec]:
-    """Fixed (predictor, residual) kernels used by the Monte Carlo harness.
+    """Fixed (predictor, residual) kernels for data with ``dim`` predictors.
 
     Bandwidths are 2*sqrt(dim) and sqrt(2), applied after standardization.
     Standardized predictor pairs sit at squared distance ~ 2*dim on average,
     so sub-sqrt(dim) bandwidths drive the predictor Gram matrix toward the
     identity, where the statistic loses nearly all discriminating power.
+    They are the defaults of the harness and of every CLI subcommand;
+    ``KernelSpec()`` itself stays at bandwidth 1.0.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")

@@ -2,13 +2,17 @@
 
 import csv
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hsicreg import ModelSpec, draw_model
-from hsicreg._rng import substream
+from hsicreg import BootstrapConfig, DesignSpec, ModelSpec, draw_model, run_test, study_kernels
+from hsicreg._rng import derive_seed, substream
 from hsicreg.cli import load_csv, main, parse_design
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def write_csv(path, header, rows):
@@ -188,6 +192,37 @@ class TestTestCommand:
         assert payload["bandwidth_x"] > 0 and payload["bandwidth_x"] != 1.0
         assert payload["kernel_x"] == "gaussian"
 
+    def test_default_kernels_are_the_study_kernels(self, capsys):
+        argv = ["test", "--model", "model1", "--n", "30", "--B", "19"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bandwidth_x"] == 4.0  # 2*sqrt(4) for model1's four predictors
+        assert payload["bandwidth_e"] == np.sqrt(2.0)
+        code, out, _ = run_main(capsys, argv + ["--bandwidth-x", "1.0"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bandwidth_x"] == 1.0
+        assert payload["bandwidth_e"] == np.sqrt(2.0)
+
+    def test_default_predictor_kernel_follows_csv_dimension(self, capsys, small_csv):
+        code, out, _ = run_main(capsys, ["test", "--input", small_csv, "--response", "y", "--B", "19"])
+        assert code == 0
+        assert json.loads(out)["bandwidth_x"] == 2.0 * np.sqrt(2.0)
+
+    def test_default_flags_equal_run_test_with_study_kernels(self, capsys):
+        code, out, _ = run_main(
+            capsys, ["test", "--model", "model1", "--n", "40", "--B", "49", "--seed", "3"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        sim = draw_model(ModelSpec("model1", n=40), substream(3, 0))
+        kernel_x, kernel_e = study_kernels(4)
+        config = BootstrapConfig(replicates=49, seed=derive_seed(3, 1))
+        result = run_test(sim.data, DesignSpec.main_effects(4), kernel_x, kernel_e, config)
+        assert payload["statistic"] == result.statistic
+        assert payload["p_value"] == result.p_value
+
     def test_deterministic_output_bytes(self, capsys, tmp_path):
         argv = ["test", "--model", "model1", "--n", "30", "--B", "49", "--seed", "8"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -258,6 +293,20 @@ class TestPowerCommand:
         assert run_main(capsys, self.ARGV + ["--out", str(b), "--workers", "2"])[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_zero_noise_sd_is_code_2(self, capsys):
+        code, _, err = run_main(capsys, self.ARGV + ["--noise-sd", "0"])
+        assert code == 2
+        assert "noise_sd must be > 0" in err
+
+    def test_linear1d_noise_defaults_to_sqrt_point_one(self, capsys, tmp_path):
+        # The acceptance gate's power command; with noise sd 1 its rejection counts differ.
+        argv = ["power", "--model", "linear1d", "--n", "20,30", "--lambda", "0,40",
+                "--reps", "5", "--B", "99", "--seed", "3", "--format", "csv"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_main(capsys, argv + ["--out", str(a)])[0] == 0
+        assert run_main(capsys, argv + ["--noise-sd", "0.31622776601683794", "--out", str(b)])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_json_cells(self, capsys):
         code, out, _ = run_main(capsys, self.ARGV[:-2] + ["--format", "json"])
         assert code == 0
@@ -305,3 +354,8 @@ class TestContrastCommand:
         assert records == {"ks_distance", "ks_pvalue", "stat", "hist_edge", "hist_count"}
         stat_rows = [r for r in rows[1:] if r[0] == "stat"]
         assert len(stat_rows) == 50  # 25 per arm
+
+
+def test_csv_workflow_demo_rejects(capsys):
+    runpy.run_path(str(DEMOS / "csv_workflow.py"), run_name="__main__")
+    assert "reject = True" in capsys.readouterr().out
