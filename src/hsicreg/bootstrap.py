@@ -73,26 +73,29 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
 
     Both vectors come from the stream keyed by ``(seed, replicate, redraw)``:
     first the predictor-row indices, then — independently, never paired — the
-    residual indices.
+    residual indices.  The pairs come back stably sorted by predictor index,
+    so a replicate gathers the predictor Gram in memory order; their
+    multiset, and so the statistic and its resampling law, is unchanged.
     """
     rng = substream(seed, replicate, redraw)
     idx_x = rng.integers(0, n, size=n)
     idx_e = rng.integers(0, n, size=n)
-    return idx_x, idx_e
+    order = np.argsort(idx_x, kind="stable")
+    return idx_x[order], idx_e[order]
 
 
 class _Buffered:
-    """Three n x n work buffers for a snapshot's replicates.
+    """Two n x n work buffers for a snapshot's replicates, made once per process.
 
-    They are made on first use in each process, reused by every later
-    replicate there, and dropped with the snapshot.
+    A replicate gathers into the second through the first, then builds in the
+    first the Gram that :func:`vstat_in_place` centers.
     """
 
     n: int
 
     @cached_property
-    def buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.empty((self.n, self.n)), np.empty((self.n, self.n)), np.empty((self.n, self.n))
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((self.n, self.n)), np.empty((self.n, self.n))
 
 
 def _gather(gram: np.ndarray, idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -131,9 +134,9 @@ def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
             refit = fit_ols(design, response)
         except SingularDesignError:
             continue
-        rows, gram_x, gram_e = snap.buffers
+        rows, gram_x = snap.buffers
         _gather(snap.gram_x, idx_x, rows, gram_x)
-        gram_matrix(refit.residuals, snap.kernel_e, out=gram_e)
+        gram_e = gram_matrix(refit.residuals, snap.kernel_e, out=rows)
         return float(n * vstat_in_place(gram_x, gram_e).value)
     raise BootstrapAbortError(
         f"replicate {replicate}: singular refit on the draw and its one redraw; aborting"
@@ -250,10 +253,9 @@ class _PermSnapshot(_Buffered):
 
 def _perm_exceeds(snap: _PermSnapshot, replicate: int) -> bool:
     perm = substream(snap.seed, replicate).permutation(snap.n)
-    rows, gram_u, permuted = snap.buffers
+    rows, permuted = snap.buffers
     _gather(snap.gram_v, perm, rows, permuted)
-    np.copyto(gram_u, snap.gram_u)
-    return bool(vstat_in_place(gram_u, permuted).value >= snap.observed)
+    return bool(vstat_in_place(snap.gram_u, permuted).value >= snap.observed)
 
 
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
@@ -307,7 +309,7 @@ def _contrast_rep(
     prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
     if prep.scales is not None:
         errors = errors / prep.scales.response_sd
-    err_arm = n * hsic_vstat(prep.gram_x, gram_matrix(errors, prep.kernel_e)).value
+    err_arm = n * vstat_in_place(prep.gram_x, gram_matrix(errors, prep.kernel_e)).value
     return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
 
 

@@ -3,9 +3,9 @@
 Two algebraically independent routes to the same estimate are kept side by
 side on purpose:
 
-* :func:`hsic_vstat` — the production path, trace of the product of doubly
-  centered Gram matrices, evaluated through row/column/grand means in O(n^2)
-  (:func:`vstat_in_place` is the same arithmetic on caller-owned buffers);
+* :func:`hsic_vstat` — the production path, n^-2 tr(K HLH) = n^-2 tr(HKH HLH):
+  only the second Gram is centered, through row/column/grand means in O(n^2)
+  (:func:`vstat_in_place` is the same arithmetic, centering it in place);
 * :func:`hsic_sums` — the explicit three-sum form (pair, full-average, and
   row-linked averages), kept as a cross-check oracle.
 
@@ -48,30 +48,28 @@ def _check_gram_pair(K, L) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def vstat_in_place(K: np.ndarray, L: np.ndarray) -> HsicValue:
-    """The V-statistic from two Gram matrices, overwriting both.
+    """The V-statistic from two Gram matrices, reading ``K`` and overwriting ``L``.
 
-    Computes n^-2 sum_ij (HKH)_ij (HLH)_ij without materializing the
-    centering matrix H: both matrices are centered in place and their
-    elementwise product is written into ``K`` before the sum.  ``K`` and
-    ``L`` must be distinct float64 buffers; this is the allocation-free
-    kernel behind :func:`hsic_vstat` and the null replicates.
+    Computes n^-2 sum_ij K_ij (HLH)_ij without materializing the centering
+    matrix H: ``L`` is centered in place, ``K`` is multiplied into it, and
+    the entries are summed.  ``K`` is never written.  ``L`` must be a
+    float64 buffer that shares no memory with ``K``; this is the
+    allocation-free kernel behind :func:`hsic_vstat` and the null replicates.
     """
     K, L, n = _check_gram_pair(K, L)
     if np.may_share_memory(K, L):
         raise ValueError("vstat_in_place needs two distinct buffers")
-    center_gram(K, out=K)
     center_gram(L, out=L)
-    total = np.multiply(K, L, out=K).sum()
+    total = np.multiply(K, L, out=L).sum()
     return HsicValue(float(total / n**2), n)
 
 
 def hsic_vstat(K, L) -> HsicValue:
-    """The V-statistic from two Gram matrices, via double centering.
+    """The V-statistic from two Gram matrices, centering a copy of ``L`` only.
 
-    Computes n^-2 sum_ij (HKH)_ij (HLH)_ij on copies, so neither input is
-    changed.
+    Computes n^-2 sum_ij K_ij (HLH)_ij; neither input is changed.
     """
-    return vstat_in_place(np.array(K, dtype=float), np.array(L, dtype=float))
+    return vstat_in_place(K, np.array(L, dtype=float))
 
 
 def hsic_sums(K, L) -> HsicValue:
@@ -103,7 +101,7 @@ def pair_grams(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> tuple[np.nda
 
 def hsic_pairs_stat(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> HsicValue:
     """The statistic for raw paired samples (u_i, v_i)."""
-    return hsic_vstat(*pair_grams(u, v, kernel_u, kernel_v))
+    return vstat_in_place(*pair_grams(u, v, kernel_u, kernel_v))
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def prepare_stat(
         kernel_x=kx,
         kernel_e=ke,
         gram_x=K,
-        observed=hsic_vstat(K, gram_matrix(model.residuals, ke)),
+        observed=vstat_in_place(K, gram_matrix(model.residuals, ke)),
         scales=scales,
     )
 

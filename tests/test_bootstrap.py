@@ -18,11 +18,12 @@ from hsicreg import (
     replicate_indices,
     run_test,
 )
-from hsicreg.bootstrap import _NullSnapshot, _null_draw, parallel_map
+from hsicreg.bootstrap import _NullSnapshot, _null_draw, _PermSnapshot, _perm_exceeds, parallel_map
 from hsicreg._rng import substream
 from hsicreg.hsic import hsic_vstat, prepare_stat
-from hsicreg.kernels import MEDIAN, gram_matrix
+from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
 from hsicreg.linreg import fit_ols
+from test_hsic import fsum_hsic
 
 
 def toy_data(seed, n=40, d0=2):
@@ -51,6 +52,15 @@ class TestReplicateIndices:
         assert not np.array_equal(base, replicate_indices(5, 2, 30)[0])
         assert not np.array_equal(base, replicate_indices(5, 1, 30, redraw=1)[0])
         assert not np.array_equal(base, replicate_indices(6, 1, 30)[0])
+
+    def test_pairs_are_the_raw_draws_ordered_by_predictor_index(self):
+        for seed, b, redraw in [(7, 3, 0), (7, 3, 1), (0, 12, 0)]:
+            idx_x, idx_e = replicate_indices(seed, b, 200, redraw)
+            assert (np.diff(idx_x) >= 0).all()
+            rng = substream(seed, b, redraw)
+            raw_x = rng.integers(0, 200, size=200)
+            raw_e = rng.integers(0, 200, size=200)
+            assert sorted(zip(idx_x.tolist(), idx_e.tolist())) == sorted(zip(raw_x.tolist(), raw_e.tolist()))
 
 
 class TestPvalueFromDraws:
@@ -121,6 +131,40 @@ def test_buffered_replicates_equal_allocating_reference():
         gram_x = snap.gram_x[np.ix_(idx_x, idx_x)]
         want = 60 * hsic_vstat(gram_x, gram_matrix(refit.residuals, snap.kernel_e)).value
         assert _null_draw(snap, b) == want, b
+
+
+def test_null_draw_matches_oracle_on_raw_pairs():
+    """Reordering the resampled pairs changes rounding only: a replicate stays on
+    the fsum oracle evaluated on the pairs in the order they were drawn."""
+    n = 80
+    snap = _snapshot_for(toy_data(75, n=n, d0=3), DesignSpec.main_effects(3), seed=8)
+    for b in range(4):
+        rng = substream(8, b, 0)
+        idx_x = rng.integers(0, n, size=n)
+        idx_e = rng.integers(0, n, size=n)
+        design = snap.design[idx_x]
+        refit = fit_ols(design, design @ snap.beta_hat + snap.centered_residuals[idx_e])
+        want = n * fsum_hsic(snap.gram_x[np.ix_(idx_x, idx_x)], gram_matrix(refit.residuals, snap.kernel_e))
+        assert _null_draw(snap, b) == pytest.approx(want, rel=1e-10), b
+
+
+def test_each_replicate_centers_one_gram(monkeypatch):
+    """The bootstrap and permutation replicates center only the Gram they build."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return center_gram(*args, **kwargs)
+
+    snap = _snapshot_for(toy_data(76, n=50, d0=2), DesignSpec.main_effects(2), seed=4)
+    rng = np.random.default_rng(85)
+    perm = _PermSnapshot(gram_matrix(rng.normal(size=50), KernelSpec()),
+                         gram_matrix(rng.normal(size=50), KernelSpec()), 0.0, 4)
+    monkeypatch.setattr("hsicreg.hsic.center_gram", counted)
+    _null_draw(snap, 0)
+    assert len(calls) == 1
+    _perm_exceeds(perm, 0)
+    assert len(calls) == 2
 
 
 _REDUCED = []

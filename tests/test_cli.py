@@ -359,3 +359,17 @@ class TestContrastCommand:
 def test_csv_workflow_demo_rejects(capsys):
     runpy.run_path(str(DEMOS / "csv_workflow.py"), run_name="__main__")
     assert "reject = True" in capsys.readouterr().out
+
+
+def test_single_dataset_demo_decisions(capsys):
+    runpy.run_path(str(DEMOS / "test_single_dataset.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    null = next(line for line in lines if line.startswith("lam=   0"))
+    alt = next(line for line in lines if line.startswith("lam=  50"))
+    assert "no evidence" in null
+    assert "REJECT" in alt
+
+
+def test_null_contrast_demo_separates_arms(capsys):
+    runpy.run_path(str(DEMOS / "null_contrast.py"), run_name="__main__")
+    assert "far apart" in capsys.readouterr().out
