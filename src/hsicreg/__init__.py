@@ -11,7 +11,6 @@ from .bootstrap import (
     BootstrapConfig,
     ContrastResult,
     TestResult,
-    bootstrap_null_draws,
     null_distribution_contrast,
     permutation_pvalue,
     pvalue_from_draws,
@@ -23,7 +22,6 @@ from .hsic import HsicValue, hsic_pairs_stat, hsic_sums, hsic_vstat, residual_hs
 from .kernels import (
     KernelSpec,
     center_gram,
-    gaussian_kernel,
     gram_matrix,
     median_heuristic,
     resolve_bandwidth,
@@ -34,7 +32,6 @@ from .linreg import (
     DesignSpec,
     FittedModel,
     StandardizeInfo,
-    build_design,
     coordinate,
     custom,
     fit_ols,
@@ -81,14 +78,11 @@ __all__ = [
     "SingularDesignError",
     "StandardizeInfo",
     "TestResult",
-    "bootstrap_null_draws",
-    "build_design",
     "center_gram",
     "coordinate",
     "custom",
     "draw_model",
     "fit_ols",
-    "gaussian_kernel",
     "gram_matrix",
     "hsic_pairs_stat",
     "hsic_sums",

@@ -3,12 +3,14 @@
 The observed statistic is compared against draws produced under the null by a
 residual resampling scheme with *product-measure* structure: predictor rows
 and centered residuals are resampled through two independent index streams
-(never as pairs), responses are regenerated from the original fitted
-coefficients, and the model is refit on every replicate before its statistic
-is computed.  Pairwise permutation of the residuals is deliberately not used
-for calibration here — residuals are neither independent nor exchangeable
-given the predictors — but a permutation p-value for raw i.i.d. pairs is
-provided as a baseline for the no-regression setting.
+(never as pairs), and the model is refit on every replicate before its
+statistic is computed.  The refit regresses the resampled residuals e* on the
+resampled design rows G*: a rebuilt response y* = G* beta_hat + e* would have
+the same refit residuals, (I - P*) y* = (I - P*) e*, so beta_hat drops out.
+Pairwise permutation of the residuals is deliberately not used for
+calibration here — residuals are neither independent nor exchangeable given
+the predictors — but a permutation p-value for raw i.i.d. pairs is provided
+as a baseline for the no-regression setting.
 
 Kernels and bandwidths are frozen from the original fit; replicates are never
 re-standardized and never re-resolve a median bandwidth.
@@ -27,8 +29,8 @@ from scipy.stats import ks_2samp
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import hsic_vstat, pair_grams, prepare_stat, vstat_in_place
-from .kernels import KernelSpec, gram_matrix
+from .hsic import _product_sum, pair_grams, prepare_stat, vstat_in_place
+from .kernels import KernelSpec, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, fit_ols
 
 
@@ -87,8 +89,8 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
 class _Buffered:
     """Two n x n work buffers for a snapshot's replicates, made once per process.
 
-    A replicate gathers into the second through the first, then builds in the
-    first the Gram that :func:`vstat_in_place` centers.
+    A replicate gathers into the second through the first; a null replicate
+    then builds in the first the Gram that :func:`vstat_in_place` centers.
     """
 
     n: int
@@ -110,11 +112,10 @@ def _gather(gram: np.ndarray, idx: np.ndarray, rows: np.ndarray, out: np.ndarray
 
 @dataclass(frozen=True)
 class _NullSnapshot(_Buffered):
-    """Frozen state a null replicate needs: original design rows, Gram, fit, kernel."""
+    """Frozen state a null replicate needs: original design rows, Gram, residuals, kernel."""
 
     design: np.ndarray
     gram_x: np.ndarray
-    beta_hat: np.ndarray
     centered_residuals: np.ndarray
     kernel_e: KernelSpec
     seed: int
@@ -128,10 +129,8 @@ def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
     n = snap.n
     for redraw in (0, 1):
         idx_x, idx_e = replicate_indices(snap.seed, replicate, n, redraw)
-        design = snap.design[idx_x]
-        response = design @ snap.beta_hat + snap.centered_residuals[idx_e]
         try:
-            refit = fit_ols(design, response)
+            refit = fit_ols(snap.design[idx_x], snap.centered_residuals[idx_e])
         except SingularDesignError:
             continue
         rows, gram_x = snap.buffers
@@ -174,32 +173,6 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(_apply_worker_fn, items, chunksize=chunk))
 
 
-def bootstrap_null_draws(
-    data: Dataset,
-    design: DesignSpec,
-    kernel_x: KernelSpec,
-    kernel_e: KernelSpec,
-    config: BootstrapConfig,
-    standardize: bool = True,
-) -> np.ndarray:
-    """The length-B vector of scaled null statistics for the fitted model."""
-    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    return _draws_for(prep, config)
-
-
-def _draws_for(prep, config: BootstrapConfig) -> np.ndarray:
-    snap = _NullSnapshot(
-        design=prep.design,
-        gram_x=prep.gram_x,
-        beta_hat=prep.model.beta_hat,
-        centered_residuals=prep.model.centered_residuals,
-        kernel_e=prep.kernel_e,
-        seed=config.seed,
-    )
-    draws = parallel_map(partial(_null_draw, snap), range(int(config.replicates)), config.workers)
-    return np.asarray(draws, dtype=float)
-
-
 def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
     """(1 + #{draws >= statistic}) / (B + 1)."""
     draws = np.asarray(draws, dtype=float)
@@ -219,7 +192,14 @@ def run_test(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    draws = _draws_for(prep, config)
+    snap = _NullSnapshot(
+        design=prep.design,
+        gram_x=prep.gram_x,
+        centered_residuals=prep.model.centered_residuals,
+        kernel_e=prep.kernel_e,
+        seed=config.seed,
+    )
+    draws = np.asarray(parallel_map(partial(_null_draw, snap), range(int(config.replicates)), config.workers))
     statistic = prep.observed.scaled
     p_value = pvalue_from_draws(draws, statistic)
     return TestResult(
@@ -241,9 +221,10 @@ def run_test(
 
 @dataclass(frozen=True)
 class _PermSnapshot(_Buffered):
+    """The first Gram and the second one centered once: P HLH P' = H PLP' H."""
+
     gram_u: np.ndarray
-    gram_v: np.ndarray
-    observed: float
+    centered_v: np.ndarray
     seed: int
 
     @property
@@ -251,11 +232,14 @@ class _PermSnapshot(_Buffered):
         return self.gram_u.shape[0]
 
 
-def _perm_exceeds(snap: _PermSnapshot, replicate: int) -> bool:
-    perm = substream(snap.seed, replicate).permutation(snap.n)
+def _permuted_stat(snap: _PermSnapshot, perm: np.ndarray) -> float:
     rows, permuted = snap.buffers
-    _gather(snap.gram_v, perm, rows, permuted)
-    return bool(vstat_in_place(snap.gram_u, permuted).value >= snap.observed)
+    _gather(snap.centered_v, perm, rows, permuted)
+    return _product_sum(snap.gram_u, permuted).value
+
+
+def _perm_draw(snap: _PermSnapshot, replicate: int) -> float:
+    return _permuted_stat(snap, substream(snap.seed, replicate).permutation(snap.n))
 
 
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
@@ -265,10 +249,10 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     not a substitute for the residual bootstrap.
     """
     gram_u, gram_v = pair_grams(u, v, kernel_u, kernel_v)
-    observed = hsic_vstat(gram_u, gram_v).value
-    snap = _PermSnapshot(gram_u, gram_v, observed, config.seed)
-    exceed = parallel_map(partial(_perm_exceeds, snap), range(int(config.replicates)), config.workers)
-    return (1 + sum(exceed)) / (int(config.replicates) + 1)
+    snap = _PermSnapshot(gram_u, center_gram(gram_v, out=gram_v), config.seed)
+    observed = _product_sum(gram_u, snap.centered_v.copy()).value
+    draws = parallel_map(partial(_perm_draw, snap), range(int(config.replicates)), config.workers)
+    return pvalue_from_draws(draws, observed)
 
 
 #: Below this many replications per arm the contrast's KS comparison is flagged.

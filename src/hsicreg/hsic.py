@@ -4,8 +4,9 @@ Two algebraically independent routes to the same estimate are kept side by
 side on purpose:
 
 * :func:`hsic_vstat` — the production path, n^-2 tr(K HLH) = n^-2 tr(HKH HLH):
-  only the second Gram is centered, through row/column/grand means in O(n^2)
-  (:func:`vstat_in_place` is the same arithmetic, centering it in place);
+  only the second Gram is centered, through row/column/grand means in O(n^2),
+  and one product-sum, n^-2 sum_ij K_ij (HLH)_ij, finishes every statistic
+  (the permutation baseline centers once, as P HLH P' = H PLP' H);
 * :func:`hsic_sums` — the explicit three-sum form (pair, full-average, and
   row-linked averages), kept as a cross-check oracle.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, as_points, center_gram, gram_matrix, resolve_bandwidth
-from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, build_design, fit_ols, standardize_dataset
+from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, evaluate_design, fit_ols, standardize_dataset
 
 
 @dataclass(frozen=True)
@@ -47,21 +48,29 @@ def _check_gram_pair(K, L) -> tuple[np.ndarray, np.ndarray, int]:
     return K, L, K.shape[0]
 
 
+def _product_sum(K: np.ndarray, centered: np.ndarray) -> HsicValue:
+    """n^-2 sum_ij K_ij C_ij for a centered Gram C, written over ``centered``.
+
+    Summed with ``ndarray.sum``, not a BLAS dot, so the bits cannot depend on BLAS threads.
+    """
+    n = K.shape[0]
+    total = np.multiply(K, centered, out=centered).sum()
+    return HsicValue(float(total / n**2), n)
+
+
 def vstat_in_place(K: np.ndarray, L: np.ndarray) -> HsicValue:
     """The V-statistic from two Gram matrices, reading ``K`` and overwriting ``L``.
 
     Computes n^-2 sum_ij K_ij (HLH)_ij without materializing the centering
-    matrix H: ``L`` is centered in place, ``K`` is multiplied into it, and
-    the entries are summed.  ``K`` is never written.  ``L`` must be a
-    float64 buffer that shares no memory with ``K``; this is the
-    allocation-free kernel behind :func:`hsic_vstat` and the null replicates.
+    matrix H: ``L`` is centered in place, then :func:`_product_sum` finishes.
+    ``K`` is never written.  ``L`` must be a float64 buffer that shares no
+    memory with ``K``; this is the allocation-free kernel behind
+    :func:`hsic_vstat` and the null replicates.
     """
     K, L, n = _check_gram_pair(K, L)
     if np.may_share_memory(K, L):
         raise ValueError("vstat_in_place needs two distinct buffers")
-    center_gram(L, out=L)
-    total = np.multiply(K, L, out=L).sum()
-    return HsicValue(float(total / n**2), n)
+    return _product_sum(K, center_gram(L, out=L))
 
 
 def hsic_vstat(K, L) -> HsicValue:
@@ -108,7 +117,6 @@ def hsic_pairs_stat(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> HsicVal
 class PreparedStat:
     """Everything the observed statistic and its null calibration share."""
 
-    data: Dataset
     design: np.ndarray
     model: FittedModel
     kernel_x: KernelSpec
@@ -116,10 +124,6 @@ class PreparedStat:
     gram_x: np.ndarray
     observed: HsicValue
     scales: StandardizeInfo | None  # None when the data were used unstandardized
-
-    @property
-    def standardized(self) -> bool:
-        return self.scales is not None
 
 
 def prepare_stat(
@@ -133,13 +137,12 @@ def prepare_stat(
     scales = None
     if standardize:
         data, scales = standardize_dataset(data)
-    G = build_design(data, design)
+    G = evaluate_design(data.predictors, design)
     model = fit_ols(G, data.response)
     kx = resolve_bandwidth(kernel_x, data.predictors)
     ke = resolve_bandwidth(kernel_e, model.residuals)
     K = gram_matrix(data.predictors, kx)
     return PreparedStat(
-        data=data,
         design=G,
         model=model,
         kernel_x=kx,

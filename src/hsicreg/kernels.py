@@ -49,19 +49,6 @@ class KernelSpec:
                 raise ValueError(f"bandwidth must be a positive finite number, got {self.bandwidth!r}")
 
 
-def gaussian_kernel(u, v, bandwidth: float) -> float:
-    """Evaluate exp(-||u - v||^2 / bandwidth^2) for a single pair of points."""
-    bw = float(bandwidth)
-    if not np.isfinite(bw) or bw <= 0.0:
-        raise ValueError(f"bandwidth must be a positive finite number, got {bandwidth!r}")
-    a = np.atleast_1d(np.asarray(u, dtype=float))
-    b = np.atleast_1d(np.asarray(v, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError(f"point shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.exp(-float(d @ d) / (bw * bw)))
-
-
 def as_points(points) -> np.ndarray:
     """Coerce input to an (n, p) float array; 1-D input becomes a column."""
     pts = np.asarray(points, dtype=float)

@@ -157,11 +157,6 @@ def evaluate_design(X: np.ndarray, spec: DesignSpec) -> np.ndarray:
     return cols
 
 
-def build_design(data: Dataset, spec: DesignSpec) -> np.ndarray:
-    """The (n, d) design matrix of ``spec`` evaluated on the dataset's predictors."""
-    return evaluate_design(data.predictors, spec)
-
-
 @dataclass(frozen=True)
 class FittedModel:
     """A least-squares fit: coefficients, residual vectors, and conditioning."""

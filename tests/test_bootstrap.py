@@ -11,14 +11,13 @@ from hsicreg import (
     Dataset,
     DesignSpec,
     KernelSpec,
-    bootstrap_null_draws,
     null_distribution_contrast,
     permutation_pvalue,
     pvalue_from_draws,
     replicate_indices,
     run_test,
 )
-from hsicreg.bootstrap import _NullSnapshot, _null_draw, _PermSnapshot, _perm_exceeds, parallel_map
+from hsicreg.bootstrap import _NullSnapshot, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
 from hsicreg._rng import substream
 from hsicreg.hsic import hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
@@ -82,9 +81,9 @@ def test_null_draws_reproducible_and_worker_invariant():
     data = toy_data(71)
     design = DesignSpec.main_effects(2)
     kx = ke = KernelSpec()
-    one = bootstrap_null_draws(data, design, kx, ke, BootstrapConfig(replicates=40, seed=9, workers=1))
-    again = bootstrap_null_draws(data, design, kx, ke, BootstrapConfig(replicates=40, seed=9, workers=1))
-    two = bootstrap_null_draws(data, design, kx, ke, BootstrapConfig(replicates=40, seed=9, workers=2))
+    one = run_test(data, design, kx, ke, BootstrapConfig(replicates=40, seed=9, workers=1)).null_draws
+    again = run_test(data, design, kx, ke, BootstrapConfig(replicates=40, seed=9, workers=1)).null_draws
+    two = run_test(data, design, kx, ke, BootstrapConfig(replicates=40, seed=9, workers=2)).null_draws
     np.testing.assert_array_equal(one, again)
     np.testing.assert_array_equal(one, two)
     assert one.shape == (40,)
@@ -96,7 +95,6 @@ def _snapshot_for(data, design, seed):
     return _NullSnapshot(
         design=prep.design,
         gram_x=prep.gram_x,
-        beta_hat=prep.model.beta_hat,
         centered_residuals=prep.model.centered_residuals,
         kernel_e=prep.kernel_e,
         seed=seed,
@@ -127,29 +125,34 @@ def test_buffered_replicates_equal_allocating_reference():
     snap = _snapshot_for(toy_data(74, n=60, d0=3), DesignSpec.main_effects(3), seed=5)
     for b in range(6):
         idx_x, idx_e = replicate_indices(5, b, 60)
-        refit = fit_ols(snap.design[idx_x], snap.design[idx_x] @ snap.beta_hat + snap.centered_residuals[idx_e])
+        refit = fit_ols(snap.design[idx_x], snap.centered_residuals[idx_e])
         gram_x = snap.gram_x[np.ix_(idx_x, idx_x)]
         want = 60 * hsic_vstat(gram_x, gram_matrix(refit.residuals, snap.kernel_e)).value
         assert _null_draw(snap, b) == want, b
 
 
 def test_null_draw_matches_oracle_on_raw_pairs():
-    """Reordering the resampled pairs changes rounding only: a replicate stays on
-    the fsum oracle evaluated on the pairs in the order they were drawn."""
-    n = 80
-    snap = _snapshot_for(toy_data(75, n=n, d0=3), DesignSpec.main_effects(3), seed=8)
-    for b in range(4):
-        rng = substream(8, b, 0)
-        idx_x = rng.integers(0, n, size=n)
-        idx_e = rng.integers(0, n, size=n)
-        design = snap.design[idx_x]
-        refit = fit_ols(design, design @ snap.beta_hat + snap.centered_residuals[idx_e])
-        want = n * fsum_hsic(snap.gram_x[np.ix_(idx_x, idx_x)], gram_matrix(refit.residuals, snap.kernel_e))
-        assert _null_draw(snap, b) == pytest.approx(want, rel=1e-10), b
+    """A replicate stays on the fsum oracle evaluated on the pairs in the order
+    they were drawn, with the refit on a rebuilt response y* = G* beta_hat + e*:
+    neither the reordered pairs nor the refit on e* alone moves it beyond rounding."""
+    for n, reps in [(80, 4), (1000, 2)]:
+        data = toy_data(75, n=n, d0=3)
+        design = DesignSpec.main_effects(3)
+        beta_hat = prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4)).model.beta_hat
+        snap = _snapshot_for(data, design, seed=8)
+        for b in range(reps):
+            rng = substream(8, b, 0)
+            idx_x = rng.integers(0, n, size=n)
+            idx_e = rng.integers(0, n, size=n)
+            G = snap.design[idx_x]
+            refit = fit_ols(G, G @ beta_hat + snap.centered_residuals[idx_e])
+            want = n * fsum_hsic(snap.gram_x[np.ix_(idx_x, idx_x)], gram_matrix(refit.residuals, snap.kernel_e))
+            assert _null_draw(snap, b) == pytest.approx(want, rel=1e-10), (n, b)
 
 
 def test_each_replicate_centers_one_gram(monkeypatch):
-    """The bootstrap and permutation replicates center only the Gram they build."""
+    """A bootstrap replicate centers only the Gram it builds; a permutation
+    replicate centers none, since its permuted Gram was centered once."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -159,12 +162,13 @@ def test_each_replicate_centers_one_gram(monkeypatch):
     snap = _snapshot_for(toy_data(76, n=50, d0=2), DesignSpec.main_effects(2), seed=4)
     rng = np.random.default_rng(85)
     perm = _PermSnapshot(gram_matrix(rng.normal(size=50), KernelSpec()),
-                         gram_matrix(rng.normal(size=50), KernelSpec()), 0.0, 4)
-    monkeypatch.setattr("hsicreg.hsic.center_gram", counted)
+                         center_gram(gram_matrix(rng.normal(size=50), KernelSpec())), 4)
+    for module in ("hsicreg.hsic", "hsicreg.kernels", "hsicreg.bootstrap"):
+        monkeypatch.setattr(f"{module}.center_gram", counted)
     _null_draw(snap, 0)
     assert len(calls) == 1
-    _perm_exceeds(perm, 0)
-    assert len(calls) == 2
+    _perm_draw(perm, 0)
+    assert len(calls) == 1
 
 
 _REDUCED = []
@@ -191,8 +195,8 @@ def test_parallel_map_ships_fn_once_per_worker():
 def test_null_draws_change_with_seed():
     data = toy_data(72)
     design = DesignSpec.main_effects(2)
-    a = bootstrap_null_draws(data, design, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=10, seed=0))
-    b = bootstrap_null_draws(data, design, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=10, seed=1))
+    a = run_test(data, design, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=10, seed=0)).null_draws
+    b = run_test(data, design, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=10, seed=1)).null_draws
     assert not np.array_equal(a, b)
 
 
@@ -289,7 +293,6 @@ class TestSingularReplicates:
         return _NullSnapshot(
             design=G,
             gram_x=gram_x,
-            beta_hat=fit.beta_hat,
             centered_residuals=fit.centered_residuals,
             kernel_e=KernelSpec(),
             seed=seed,
@@ -346,6 +349,35 @@ class TestPermutationBaseline:
             exceed += hsic_vstat(gram_u, gram_v[np.ix_(perm, perm)]).value >= observed
         p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=49, seed=6))
         assert p == (1 + exceed) / 50
+
+    def test_identity_permutation_reproduces_observed(self):
+        rng = np.random.default_rng(86)
+        gram_u = gram_matrix(rng.normal(size=(40, 2)), KernelSpec())
+        gram_v = gram_matrix(rng.normal(size=40), KernelSpec())
+        snap = _PermSnapshot(gram_u, center_gram(gram_v), 7)
+        assert _permuted_stat(snap, np.arange(40)) == hsic_vstat(gram_u, gram_v).value
+
+    def test_draws_match_permuted_gram_centered_afresh(self, monkeypatch):
+        """Gathering the once-centered Gram equals centering each permuted Gram,
+        up to rounding, and the p-value is the add-one count over those draws."""
+        draws = []
+
+        def recording(fn, items, workers):
+            draws.extend(parallel_map(fn, items, workers))
+            return draws
+
+        monkeypatch.setattr("hsicreg.bootstrap.parallel_map", recording)
+        rng = np.random.default_rng(87)
+        u = rng.normal(size=(40, 2))
+        v = u[:, 0] + rng.normal(size=40)
+        p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=30, seed=7))
+        gram_u = gram_matrix(u, KernelSpec())
+        gram_v = gram_matrix(v, KernelSpec())
+        for b, got in enumerate(draws):
+            perm = substream(7, b).permutation(40)
+            assert got == pytest.approx(hsic_vstat(gram_u, gram_v[np.ix_(perm, perm)]).value, rel=1e-12), b
+        assert len(draws) == 30
+        assert p == pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)
 
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)

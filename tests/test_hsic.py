@@ -253,8 +253,9 @@ class TestPreparedStat:
         X = rng.normal(size=(25, 2))
         data = Dataset(X, rng.normal(size=25))
         prep = prepare_stat(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), standardize=False)
-        np.testing.assert_array_equal(prep.data.predictors, data.predictors)
-        assert prep.standardized is False
+        assert prep.scales is None
+        assert np.array_equal(prep.gram_x, gram_matrix(X, KernelSpec()))
+        assert np.array_equal(prep.design[:, 1:], X)
 
     def test_median_bandwidths_resolved_once(self):
         rng = np.random.default_rng(63)

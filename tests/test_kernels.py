@@ -10,12 +10,24 @@ from hsicreg import (
     DegenerateDataError,
     KernelSpec,
     center_gram,
-    gaussian_kernel,
     gram_matrix,
     median_heuristic,
     resolve_bandwidth,
 )
 from hsicreg.kernels import FIXED, MEDIAN, as_points
+
+
+def gaussian_kernel(u, v, bandwidth: float) -> float:
+    """Pointwise oracle: exp(-||u - v||^2 / bandwidth^2) for a single pair of points."""
+    bw = float(bandwidth)
+    if not np.isfinite(bw) or bw <= 0.0:
+        raise ValueError(f"bandwidth must be a positive finite number, got {bandwidth!r}")
+    a = np.atleast_1d(np.asarray(u, dtype=float))
+    b = np.atleast_1d(np.asarray(v, dtype=float))
+    if a.shape != b.shape:
+        raise ValueError(f"point shapes differ: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.exp(-float(d @ d) / (bw * bw)))
 
 
 def test_gaussian_kernel_known_value():

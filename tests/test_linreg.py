@@ -8,7 +8,6 @@ from hsicreg import (
     DegenerateDataError,
     DesignSpec,
     SingularDesignError,
-    build_design,
     coordinate,
     custom,
     fit_ols,
@@ -91,7 +90,7 @@ def test_fit_ols_residuals_orthogonal_to_design():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(50, 3))
     data = Dataset(X, rng.normal(size=50))
-    G = build_design(data, DesignSpec.main_effects(3))
+    G = evaluate_design(data.predictors, DesignSpec.main_effects(3))
     fit = fit_ols(G, data.response)
     assert np.abs(G.T @ fit.residuals).max() < 1e-10
     # with an intercept column the residuals are centered already
