@@ -11,24 +11,12 @@ test is miscalibrated here.
 
 import numpy as np
 
-from hsicreg import (
-    BootstrapConfig,
-    DesignSpec,
-    ModelSpec,
-    draw_model,
-    null_distribution_contrast,
-    study_kernels,
-)
+from hsicreg import ModelSpec, null_distribution_contrast, study_kernels
 
 N = 100
 REPS = 500
 SEED = 0
 BAR = 40
-
-
-def sampler(n, rng):
-    sim = draw_model(ModelSpec("linear1d", n=n, noise_sd=float(np.sqrt(0.1))), rng)
-    return sim.data, sim.errors
 
 
 def text_hist(values, edges, title):
@@ -42,15 +30,8 @@ def text_hist(values, edges, title):
 
 def main() -> None:
     kernel_x, kernel_e = study_kernels(1)
-    result = null_distribution_contrast(
-        sampler,
-        DesignSpec.main_effects(1),
-        kernel_x,
-        kernel_e,
-        N,
-        REPS,
-        BootstrapConfig(replicates=1, seed=SEED),
-    )
+    spec = ModelSpec("linear1d", n=N, noise_sd=float(np.sqrt(0.1)))
+    result = null_distribution_contrast(spec, kernel_x, kernel_e, REPS, seed=SEED)
     both = np.concatenate([result.residual_stats, result.error_stats])
     edges = np.histogram_bin_edges(both, bins=12)
     text_hist(result.residual_stats, edges, f"n*stat from fitted residuals ({REPS} draws)")

@@ -9,16 +9,14 @@ for size/power studies plus a small CLI (``hsicreg test|simulate|power|contrast`
 
 from .bootstrap import (
     BootstrapConfig,
-    ContrastResult,
     TestResult,
-    null_distribution_contrast,
     permutation_pvalue,
     pvalue_from_draws,
     replicate_indices,
     run_test,
 )
 from .errors import BootstrapAbortError, DegenerateDataError, SingularDesignError
-from .hsic import HsicValue, hsic_pairs_stat, hsic_sums, hsic_vstat, residual_hsic_stat
+from .hsic import HsicValue, hsic_sums, hsic_vstat, residual_hsic_stat
 from .kernels import (
     KernelSpec,
     center_gram,
@@ -33,7 +31,6 @@ from .linreg import (
     FittedModel,
     StandardizeInfo,
     coordinate,
-    custom,
     fit_ols,
     intercept,
     product,
@@ -42,6 +39,7 @@ from .linreg import (
     standardize_dataset,
 )
 from .simulate import (
+    ContrastResult,
     ModelSpec,
     MonotonicityFlag,
     PowerCell,
@@ -49,6 +47,7 @@ from .simulate import (
     SimulatedData,
     draw_model,
     monotonicity_report,
+    null_distribution_contrast,
     power_study,
     simulate_linear1d,
     simulate_model1,
@@ -80,11 +79,9 @@ __all__ = [
     "TestResult",
     "center_gram",
     "coordinate",
-    "custom",
     "draw_model",
     "fit_ols",
     "gram_matrix",
-    "hsic_pairs_stat",
     "hsic_sums",
     "hsic_vstat",
     "intercept",

@@ -10,7 +10,8 @@ the same refit residuals, (I - P*) y* = (I - P*) e*, so beta_hat drops out.
 Pairwise permutation of the residuals is deliberately not used for
 calibration here — residuals are neither independent nor exchangeable given
 the predictors — but a permutation p-value for raw i.i.d. pairs is provided
-as a baseline for the no-regression setting.
+as a baseline for the no-regression setting.  The contrast that shows why is
+:func:`hsicreg.simulate.null_distribution_contrast`, beside the power harness.
 
 Kernels and bandwidths are frozen from the original fit; replicates are never
 re-standardized and never re-resolve a median bandwidth.
@@ -18,18 +19,16 @@ re-standardized and never re-resolve a median bandwidth.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import _product_sum, pair_grams, prepare_stat, vstat_in_place
+from .hsic import _product_sum, prepare_stat, vstat_in_place
 from .kernels import KernelSpec, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, fit_ols
 
@@ -165,7 +164,10 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     carry only items; ``fn`` and the items must still pickle for the other
     start methods.
     """
-    workers = int(workers) or os.cpu_count() or 1
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    workers = workers or os.cpu_count() or 1
     if workers == 1:
         return [fn(item) for item in items]
     chunk = max(1, -(-len(items) // (workers * 4)))
@@ -248,103 +250,12 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     Valid when the pairs themselves are i.i.d. (no fitted model in the loop);
     not a substitute for the residual bootstrap.
     """
-    gram_u, gram_v = pair_grams(u, v, kernel_u, kernel_v)
+    gram_u = gram_matrix(u, kernel_u)
+    gram_v = gram_matrix(v, kernel_v)
+    if gram_u.shape != gram_v.shape:
+        raise ValueError(f"sample sizes differ: {gram_u.shape[0]} vs {gram_v.shape[0]}")
     snap = _PermSnapshot(gram_u, center_gram(gram_v, out=gram_v), config.seed)
     observed = _product_sum(gram_u, snap.centered_v.copy()).value
     draws = parallel_map(partial(_perm_draw, snap), range(int(config.replicates)), config.workers)
     return pvalue_from_draws(draws, observed)
 
-
-#: Below this many replications per arm the contrast's KS comparison is flagged.
-_CONTRAST_MIN_REPS = 25
-
-
-@dataclass(frozen=True)
-class ContrastResult:
-    """Null-scale statistics computed from residuals vs. from the true errors."""
-
-    residual_stats: np.ndarray
-    error_stats: np.ndarray
-    ks_distance: float
-    ks_pvalue: float
-    n: int
-    reps: int
-    undersampled: bool
-
-
-def _contrast_rep(
-    sampler: Callable[[int, np.random.Generator], tuple[Dataset, np.ndarray]],
-    design: DesignSpec,
-    kernel_x: KernelSpec,
-    kernel_e: KernelSpec,
-    n: int,
-    seed: int,
-    standardize: bool,
-    both_arms_use_errors: bool,
-    replication: int,
-) -> tuple[float, float]:
-    """(residual arm, error arm) scaled statistics for one contrast replication."""
-    data, errors = sampler(n, substream(seed, replication))
-    errors = np.asarray(errors, dtype=float)
-    if data.n != n:
-        raise ValueError(f"sampler returned {data.n} rows, expected {n}")
-    if errors.shape != (data.n,):
-        raise ValueError(f"sampler returned errors of shape {errors.shape} for n={data.n}")
-    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    if prep.scales is not None:
-        errors = errors / prep.scales.response_sd
-    err_arm = n * vstat_in_place(prep.gram_x, gram_matrix(errors, prep.kernel_e)).value
-    return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
-
-
-def null_distribution_contrast(
-    sampler: Callable[[int, np.random.Generator], tuple[Dataset, np.ndarray]],
-    design: DesignSpec,
-    kernel_x: KernelSpec,
-    kernel_e: KernelSpec,
-    n: int,
-    reps: int,
-    config: BootstrapConfig,
-    standardize: bool = True,
-    both_arms_use_errors: bool = False,
-) -> ContrastResult:
-    """Compare the scaled statistic computed from residuals with the one from true errors.
-
-    ``sampler(n, rng)`` must return a dataset *and* the true error vector it
-    used.  Per replication both arms share the same draw and the same
-    predictor Gram matrix; when standardizing, the error arm is scaled by the
-    response's sample sd so both arms live in the same units.  With
-    ``both_arms_use_errors`` the residual arm is replaced by the error arm —
-    the distributions then coincide by construction (a self-check).
-
-    Replications run on ``config.workers`` processes without changing the
-    result.  When ``config.workers != 1``, ``sampler`` must be picklable: a
-    module-level function or a ``functools.partial`` of one, not a closure.
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    rep = partial(
-        _contrast_rep, sampler, design, kernel_x, kernel_e, n, config.seed, standardize, both_arms_use_errors
-    )
-    arms = np.asarray(parallel_map(rep, range(reps), config.workers), dtype=float)
-    resid_stats, error_stats = arms.T
-    ks = ks_2samp(resid_stats, error_stats, method="asymp")
-    undersampled = reps < _CONTRAST_MIN_REPS
-    if undersampled:
-        warnings.warn(
-            f"contrast ran with only {reps} replications per arm; "
-            "the KS comparison is unreliable below "
-            f"{_CONTRAST_MIN_REPS}",
-            stacklevel=2,
-        )
-    return ContrastResult(
-        residual_stats=resid_stats,
-        error_stats=error_stats,
-        ks_distance=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
-        n=int(n),
-        reps=int(reps),
-        undersampled=undersampled,
-    )

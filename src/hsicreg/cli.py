@@ -14,13 +14,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
 from ._rng import derive_seed, substream
-from .bootstrap import BootstrapConfig, null_distribution_contrast, run_test
+from .bootstrap import BootstrapConfig, run_test
 from .errors import BootstrapAbortError, SingularDesignError
 from .kernels import FIXED, MEDIAN, KernelSpec
 from .linreg import Dataset, DesignSpec, coordinate, intercept, product, square
@@ -30,9 +28,9 @@ from .simulate import (
     MODEL2,
     ModelSpec,
     draw_model,
+    null_distribution_contrast,
     power_study,
     study_kernels,
-    working_design,
 )
 
 SCHEMA_VERSION = 1
@@ -156,8 +154,11 @@ def _float_list(text: str) -> list[float]:
 
 
 def _jsonable(value):
+    """``value`` as plain JSON data; a non-finite float becomes ``None`` (JSON ``null``)."""
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
@@ -176,7 +177,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(_jsonable(payload), indent=2) + "\n")
+    _emit(args, json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _emit_csv_rows(args, header: list[str], rows: list[list]) -> None:
@@ -335,26 +336,12 @@ def cmd_power(args) -> int:
     return 0
 
 
-def _contrast_sampler(spec: ModelSpec, n: int, rng: np.random.Generator):
-    """One draw of ``spec`` at size ``n``, as the (dataset, true errors) pair the contrast takes."""
-    sim = draw_model(replace(spec, n=n), rng)
-    return sim.data, sim.errors
-
-
 def cmd_contrast(args) -> int:
     spec = _model_spec(args, args.n, args.a, args.lam)
-    design = working_design(spec)
     kernel_x, kernel_e = _kernels_from_args(args, spec.dim)
-    config = BootstrapConfig(replicates=1, seed=args.seed, workers=args.workers)
     result = null_distribution_contrast(
-        partial(_contrast_sampler, spec),
-        design,
-        kernel_x,
-        kernel_e,
-        args.n,
-        args.reps,
-        config,
-        standardize=not args.no_standardize,
+        spec, kernel_x, kernel_e, args.reps,
+        seed=args.seed, workers=args.workers, standardize=not args.no_standardize,
     )
     both = np.concatenate([result.residual_stats, result.error_stats])
     edges = np.histogram_bin_edges(both, bins=30)

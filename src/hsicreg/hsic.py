@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, center_gram, gram_matrix, resolve_bandwidth
+from .kernels import KernelSpec, center_gram, gram_matrix, resolve_bandwidth
 from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, evaluate_design, fit_ols, standardize_dataset
 
 
@@ -97,20 +97,6 @@ def hsic_sums(K, L) -> HsicValue:
     linked = (rows_k * rows_l).sum()
     value = pair / n**2 + total_k * total_l / n**4 - 2.0 * linked / n**3
     return HsicValue(float(value), n)
-
-
-def pair_grams(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrices of raw paired samples (u_i, v_i), each under its own kernel."""
-    pu = as_points(u)
-    pv = as_points(v)
-    if pu.shape[0] != pv.shape[0]:
-        raise ValueError(f"sample sizes differ: {pu.shape[0]} vs {pv.shape[0]}")
-    return gram_matrix(pu, kernel_u), gram_matrix(pv, kernel_v)
-
-
-def hsic_pairs_stat(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec) -> HsicValue:
-    """The statistic for raw paired samples (u_i, v_i)."""
-    return vstat_in_place(*pair_grams(u, v, kernel_u, kernel_v))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Datasets, design matrices, and ordinary least squares.
 
 The regression model is linear in a user-chosen basis of the raw predictor
-coordinates: intercept, single coordinates, pairwise products, squares, or a
-named custom function of the predictor row.  Fitting goes through a stable
-orthogonal decomposition (SVD); the scaled normal-equations matrix is never
-inverted explicitly, but its condition number is estimated and reported.
+coordinates: intercept, single coordinates, pairwise products and squares,
+each evaluated as one vectorized column operation.  Fitting goes through a
+stable orthogonal decomposition (SVD); the scaled normal-equations matrix is
+never inverted explicitly, but its condition number is estimated and
+reported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -72,10 +72,9 @@ class Dataset:
 class BasisTerm:
     """One named column of the regression design."""
 
-    kind: str  # "intercept" | "coordinate" | "square" | "product" | "custom"
+    kind: str  # "intercept" | "coordinate" | "square" | "product"
     indices: tuple[int, ...] = ()
     label: str = ""
-    fn: Callable[[np.ndarray], float] | None = None
 
 
 def intercept() -> BasisTerm:
@@ -92,11 +91,6 @@ def square(j: int, label: str | None = None) -> BasisTerm:
 
 def product(i: int, j: int, label: str | None = None) -> BasisTerm:
     return BasisTerm("product", (int(i), int(j)), label or f"x{i + 1}*x{j + 1}")
-
-
-def custom(label: str, fn: Callable[[np.ndarray], float]) -> BasisTerm:
-    """A named scalar function of the raw predictor row (must be total on the domain)."""
-    return BasisTerm("custom", (), label, fn)
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,6 @@ def evaluate_design(X: np.ndarray, spec: DesignSpec) -> np.ndarray:
             cols[:, c] = X[:, term.indices[0]] ** 2
         elif term.kind == "product":
             cols[:, c] = X[:, term.indices[0]] * X[:, term.indices[1]]
-        elif term.kind == "custom":
-            if term.fn is None:
-                raise ValueError(f"custom term {term.label!r} has no function")
-            cols[:, c] = [float(term.fn(row)) for row in X]
         else:
             raise ValueError(f"unknown basis term kind {term.kind!r}")
     if not np.isfinite(cols).all():

@@ -2,9 +2,9 @@
 
 Three built-in generators:
 
-* ``model1`` — response ``2 + 5*x1 - x2 + a*x1*x2`` plus noise, predictors
-  i.i.d. uniform on (0,1) in ``d0`` (default 4) dimensions; ``a`` scales an
-  interaction the working linear fit omits.
+* ``model1`` — response ``2 + 5*x1 - x2 + a*x1*x2`` plus noise, four
+  predictors i.i.d. uniform on (0,1); ``a`` scales an interaction the working
+  linear fit omits.
 * ``model2`` — response ``x1 + a*x2^2 + 2*x4`` plus noise; (x1, x2, x3) are
   equicorrelated standard normals (correlation 0.5, drawn through the explicit
   3x3 Cholesky factor) and x4 is Bernoulli(0.4); ``a`` scales the omitted
@@ -23,34 +23,42 @@ is the main-effects design {1, x1, x2, x3, x4}; lack of fit exists exactly
 when ``a != 0``, error/predictor dependence exactly when ``lam != 0``.
 
 Harness bandwidth protocol: the study runs on standardized data with fixed
-bandwidths 2*sqrt(d0) for the predictor kernel and sqrt(2) for the residual
-kernel (see :func:`study_kernels`).  On standardized predictors the squared
-pairwise distances concentrate near 2*d0, so a bandwidth of order sqrt(d0)
-is the smallest choice that keeps the predictor Gram matrix away from the
-near-diagonal regime in which the statistic stops discriminating; the factor
-2 was calibrated so the harness reproduces the reference rejection rates at
-n in the low hundreds.
+bandwidths 2*sqrt(d) for the predictor kernel (d predictors) and sqrt(2) for
+the residual kernel (see :func:`study_kernels`).  On standardized predictors
+the squared pairwise distances concentrate near 2*d, so a bandwidth of order
+sqrt(d) is the smallest choice that keeps the predictor Gram matrix away from
+the near-diagonal regime in which the statistic stops discriminating; the
+factor 2 was calibrated so the harness reproduces the reference rejection
+rates at n in the low hundreds.
+
+Both Monte Carlo drivers take :class:`ModelSpec` cells and key every draw
+by seed: :func:`power_study` (rejection rates) and
+:func:`null_distribution_contrast` (the null statistic from residuals vs.
+from the true errors).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.stats import ks_2samp
 
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, parallel_map, run_test
 from .errors import BootstrapAbortError
-from .kernels import KernelSpec
+from .hsic import prepare_stat, vstat_in_place
+from .kernels import KernelSpec, gram_matrix
 from .linreg import Dataset, DesignSpec
 
 MODEL1 = "model1"
 MODEL2 = "model2"
 LINEAR1D = "linear1d"
-CUSTOM = "custom"
 
-_DEFAULT_D0 = {MODEL1: 4, MODEL2: 4, LINEAR1D: 1}
+#: Predictor dimension of each built-in model.
+_DIM = {MODEL1: 4, MODEL2: 4, LINEAR1D: 1}
 
 #: Reference rejection percentages (alpha = 0.05, n = 100) for the
 #: lack-of-fit sweep over ``a``, for rough comparison when reading harness
@@ -87,10 +95,9 @@ class ModelSpec:
     a: float = 0.0
     lam: float = 0.0
     noise_sd: float = 1.0
-    d0: int | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in (MODEL1, MODEL2, LINEAR1D, CUSTOM):
+        if self.model not in _DIM:
             raise ValueError(f"unknown model {self.model!r}")
         if int(self.n) < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
@@ -98,23 +105,11 @@ class ModelSpec:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not self.noise_sd > 0:
             raise ValueError(f"noise_sd must be > 0, got {self.noise_sd}")
-        if self.d0 is not None:
-            if self.model == MODEL2 and self.d0 != 4:
-                raise ValueError("model2 is defined for exactly 4 predictors")
-            if self.model == LINEAR1D and self.d0 != 1:
-                raise ValueError("linear1d has exactly 1 predictor")
-            if self.model == MODEL1 and self.d0 < 2:
-                raise ValueError("model1 needs at least 2 predictors")
 
     @property
     def dim(self) -> int:
-        """Effective predictor dimension."""
-        if self.d0 is not None:
-            return int(self.d0)
-        try:
-            return _DEFAULT_D0[self.model]
-        except KeyError:
-            raise ValueError("custom models must set d0 explicitly") from None
+        """Predictor dimension of the model."""
+        return _DIM[self.model]
 
 
 @dataclass(frozen=True)
@@ -170,23 +165,13 @@ _GENERATORS: dict[str, Callable[[ModelSpec, np.random.Generator], SimulatedData]
 }
 
 
-def draw_model(
-    spec: ModelSpec,
-    rng: np.random.Generator,
-    sampler: Callable[[ModelSpec, np.random.Generator], SimulatedData] | None = None,
-) -> SimulatedData:
-    """Draw from a built-in generator, or from ``sampler`` for custom specs."""
-    if spec.model == CUSTOM:
-        if sampler is None:
-            raise ValueError("a custom ModelSpec needs an explicit sampler")
-        return sampler(spec, rng)
+def draw_model(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
+    """One draw of ``spec`` from its built-in generator."""
     return _GENERATORS[spec.model](spec, rng)
 
 
 def working_design(spec: ModelSpec) -> DesignSpec:
     """The (misspecified when a != 0) main-effects fit the harness uses."""
-    if spec.model == CUSTOM:
-        raise ValueError("custom ModelSpec has no built-in working design")
     return DesignSpec.main_effects(spec.dim)
 
 
@@ -238,22 +223,14 @@ def _power_trial(
     grid: Sequence[ModelSpec],
     alpha: float,
     config: BootstrapConfig,
-    sampler=None,
-    design: DesignSpec | None = None,
 ) -> tuple[int, bool, bool]:
     """(cell index, rejected?, aborted?) for one Monte Carlo trial."""
     cell, trial = task
     spec = grid[cell]
-    sim = draw_model(spec, substream(config.seed, cell, trial, 0), sampler)
-    trial_config = BootstrapConfig(
-        replicates=config.replicates,
-        seed=derive_seed(config.seed, cell, trial, 1),
-        workers=1,
-    )
-    fit_design = design if design is not None else working_design(spec)
-    kernel_x, kernel_e = study_kernels(spec.dim)
+    sim = draw_model(spec, substream(config.seed, cell, trial, 0))
+    trial_config = replace(config, seed=derive_seed(config.seed, cell, trial, 1), workers=1)
     try:
-        result = run_test(sim.data, fit_design, kernel_x, kernel_e, trial_config, alpha)
+        result = run_test(sim.data, working_design(spec), *study_kernels(spec.dim), trial_config, alpha)
     except BootstrapAbortError:
         return cell, False, True
     return cell, bool(result.reject), False
@@ -264,8 +241,6 @@ def power_study(
     alpha: float,
     config: BootstrapConfig,
     reps: int,
-    sampler=None,
-    design: DesignSpec | None = None,
 ) -> PowerTable:
     """Rejection rates over the grid, ``reps`` independent trials per cell.
 
@@ -284,7 +259,7 @@ def power_study(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     tasks = [(c, t) for c in range(len(grid)) for t in range(reps)]
-    runner = partial(_power_trial, grid=grid, alpha=alpha, config=config, sampler=sampler, design=design)
+    runner = partial(_power_trial, grid=grid, alpha=alpha, config=config)
     outcomes = parallel_map(runner, tasks, config.workers)
     cells = []
     for c, spec in enumerate(grid):
@@ -308,6 +283,87 @@ def power_study(
             )
         )
     return PowerTable(tuple(cells), float(alpha), int(config.replicates), int(config.seed))
+
+
+#: Below this many replications per arm the contrast's KS comparison is flagged.
+_CONTRAST_MIN_REPS = 25
+
+
+@dataclass(frozen=True)
+class ContrastResult:
+    """Null-scale statistics computed from residuals vs. from the true errors."""
+
+    residual_stats: np.ndarray
+    error_stats: np.ndarray
+    ks_distance: float
+    ks_pvalue: float
+    n: int
+    reps: int
+    undersampled: bool
+
+
+def _contrast_rep(
+    spec: ModelSpec,
+    kernel_x: KernelSpec,
+    kernel_e: KernelSpec,
+    seed: int,
+    standardize: bool,
+    both_arms_use_errors: bool,
+    replication: int,
+) -> tuple[float, float]:
+    """(residual arm, error arm) scaled statistics for one contrast replication."""
+    sim = draw_model(spec, substream(seed, replication))
+    prep = prepare_stat(sim.data, working_design(spec), kernel_x, kernel_e, standardize)
+    sd = prep.scales.response_sd if prep.scales is not None else 1.0
+    err_arm = prep.observed.n * vstat_in_place(prep.gram_x, gram_matrix(sim.errors / sd, prep.kernel_e)).value
+    return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
+
+
+def null_distribution_contrast(
+    spec: ModelSpec,
+    kernel_x: KernelSpec,
+    kernel_e: KernelSpec,
+    reps: int,
+    seed: int = 0,
+    workers: int = 1,
+    standardize: bool = True,
+    both_arms_use_errors: bool = False,
+) -> ContrastResult:
+    """Compare the scaled statistic computed from residuals with the one from true errors.
+
+    Replication r draws ``spec`` from the stream keyed by (seed, r) and fits
+    :func:`working_design`.  Per replication both arms share the same draw
+    and the same predictor Gram matrix; when standardizing, the error arm is
+    scaled by the response's sample sd so both arms live in the same units.
+    With ``both_arms_use_errors`` the residual arm is replaced by the error
+    arm — the distributions then coincide by construction (a self-check).
+    Replications run on ``workers`` processes (0 = one per CPU) without
+    changing the result.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if spec.n < 3:
+        raise ValueError(f"n must be >= 3, got {spec.n}")
+    rep = partial(_contrast_rep, spec, kernel_x, kernel_e, seed, standardize, both_arms_use_errors)
+    arms = np.asarray(parallel_map(rep, range(reps), workers), dtype=float)
+    resid_stats, error_stats = arms.T
+    ks = ks_2samp(resid_stats, error_stats, method="asymp")
+    undersampled = reps < _CONTRAST_MIN_REPS
+    if undersampled:
+        warnings.warn(
+            f"contrast ran with only {reps} replications per arm; "
+            f"the KS comparison is unreliable below {_CONTRAST_MIN_REPS}",
+            stacklevel=2,
+        )
+    return ContrastResult(
+        residual_stats=resid_stats,
+        error_stats=error_stats,
+        ks_distance=float(ks.statistic),
+        ks_pvalue=float(ks.pvalue),
+        n=int(spec.n),
+        reps=int(reps),
+        undersampled=undersampled,
+    )
 
 
 def monotonicity_report(table: PowerTable) -> list["MonotonicityFlag"]:

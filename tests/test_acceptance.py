@@ -12,7 +12,6 @@ import numpy as np
 
 from hsicreg import (
     BootstrapConfig,
-    DesignSpec,
     KernelSpec,
     ModelSpec,
     draw_model,
@@ -149,19 +148,10 @@ def test_c07_lack_of_fit_power_model2(capsys):
 def test_c08_residual_vs_error_contrast(capsys):
     spec = ModelSpec("linear1d", n=100, noise_sd=float(np.sqrt(0.1)))
     kernel_x, kernel_e = study_kernels(1)
-
-    def sampler(n, rng):
-        sim = draw_model(ModelSpec(spec.model, n, noise_sd=spec.noise_sd), rng)
-        return sim.data, sim.errors
-
-    config = BootstrapConfig(replicates=1, seed=SEED, workers=1)
     critical = 1.628 * np.sqrt(2.0 / 500.0)
-    res = null_distribution_contrast(
-        sampler, DesignSpec.main_effects(1), kernel_x, kernel_e, 100, 500, config
-    )
+    res = null_distribution_contrast(spec, kernel_x, kernel_e, 500, seed=SEED, workers=1)
     same = null_distribution_contrast(
-        sampler, DesignSpec.main_effects(1), kernel_x, kernel_e, 100, 500, config,
-        both_arms_use_errors=True,
+        spec, kernel_x, kernel_e, 500, seed=SEED, workers=1, both_arms_use_errors=True
     )
     ok = res.ks_distance > critical and same.ks_distance <= critical
     check(capsys, "[C08] residual-vs-error null contrast",

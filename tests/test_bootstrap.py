@@ -11,15 +11,19 @@ from hsicreg import (
     Dataset,
     DesignSpec,
     KernelSpec,
+    ModelSpec,
+    draw_model,
     null_distribution_contrast,
     permutation_pvalue,
     pvalue_from_draws,
     replicate_indices,
+    residual_hsic_stat,
     run_test,
+    working_design,
 )
 from hsicreg.bootstrap import _NullSnapshot, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
 from hsicreg._rng import substream
-from hsicreg.hsic import hsic_vstat, prepare_stat
+from hsicreg.hsic import hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
 from hsicreg.linreg import fit_ols
 from test_hsic import fsum_hsic
@@ -379,6 +383,10 @@ class TestPermutationBaseline:
         assert len(draws) == 30
         assert p == pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)
 
+    def test_sample_size_mismatch(self):
+        with pytest.raises(ValueError, match="sample sizes differ"):
+            permutation_pvalue(np.zeros(5), np.zeros(6), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9))
+
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)
         u = rng.normal(size=40)
@@ -389,17 +397,11 @@ class TestPermutationBaseline:
 
 
 class TestContrast:
-    @staticmethod
-    def _sampler(n, rng):
-        X = rng.standard_normal((n, 1))
-        errors = rng.standard_normal(n) * 0.3
-        return Dataset(X, 1.0 + X[:, 0] + errors), errors
+    SPEC = ModelSpec("linear1d", n=30, noise_sd=0.3)
 
     def test_shapes_and_determinism(self):
-        cfg = BootstrapConfig(replicates=1, seed=6)
-        design = DesignSpec.main_effects(1)
-        r1 = null_distribution_contrast(self._sampler, design, KernelSpec(), KernelSpec(), 30, 30, cfg)
-        r2 = null_distribution_contrast(self._sampler, design, KernelSpec(), KernelSpec(), 30, 30, cfg)
+        r1 = null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), 30, seed=6)
+        r2 = null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), 30, seed=6)
         assert r1.residual_stats.shape == (30,)
         np.testing.assert_array_equal(r1.residual_stats, r2.residual_stats)
         np.testing.assert_array_equal(r1.error_stats, r2.error_stats)
@@ -407,32 +409,38 @@ class TestContrast:
         assert not r1.undersampled
 
     def test_same_arm_control_collapses_distance(self):
-        cfg = BootstrapConfig(replicates=1, seed=6)
         res = null_distribution_contrast(
-            self._sampler, DesignSpec.main_effects(1), KernelSpec(), KernelSpec(), 30, 30, cfg,
-            both_arms_use_errors=True,
+            self.SPEC, KernelSpec(), KernelSpec(), 30, seed=6, both_arms_use_errors=True
         )
         np.testing.assert_array_equal(res.residual_stats, res.error_stats)
         assert res.ks_distance == 0.0
 
     def test_undersampled_warning(self):
-        cfg = BootstrapConfig(replicates=1, seed=6)
         with pytest.warns(UserWarning, match="replications per arm"):
-            res = null_distribution_contrast(
-                self._sampler, DesignSpec.main_effects(1), KernelSpec(), KernelSpec(), 30, 10, cfg
-            )
+            res = null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), 10, seed=6)
         assert res.undersampled
 
-    def test_sampler_contract_enforced(self):
-        cfg = BootstrapConfig(replicates=1, seed=6)
+    def test_arms_match_oracle(self):
+        """Replication r is the draw keyed (seed, r): the residual arm is the
+        observed statistic on it, the error arm an ``hsic_sums`` recompute on
+        the true errors over the response's sample sd."""
+        spec = ModelSpec("model1", n=40, a=2.0, lam=10.0)
+        kx, ke = KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.5)
+        res = null_distribution_contrast(spec, kx, ke, 30, seed=11)
+        for r in (0, 13, 29):
+            sim = draw_model(spec, substream(11, r))
+            observed, _ = residual_hsic_stat(sim.data, working_design(spec), kx, ke)
+            assert res.residual_stats[r] == observed.scaled, r
+            X = sim.data.predictors
+            K = gram_matrix((X - X.mean(axis=0)) / X.std(axis=0, ddof=1), kx)
+            L = gram_matrix(sim.errors / sim.data.response.std(ddof=1), ke)
+            assert res.error_stats[r] == pytest.approx(spec.n * hsic_sums(K, L).value, rel=1e-10), r
 
-        def bad_n(n, rng):
-            X = rng.standard_normal((n + 1, 1))
-            e = rng.standard_normal(n + 1)
-            return Dataset(X, X[:, 0] + e), e
-
-        with pytest.raises(ValueError, match="rows"):
-            null_distribution_contrast(bad_n, DesignSpec.main_effects(1), KernelSpec(), KernelSpec(), 20, 30, cfg)
+    def test_rejects_tiny_n_and_no_reps(self):
+        with pytest.raises(ValueError, match="n must be >= 3"):
+            null_distribution_contrast(ModelSpec("linear1d", n=2), KernelSpec(), KernelSpec(), 30)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), 0)
 
 
 def test_bootstrap_config_validation():

@@ -267,6 +267,21 @@ class TestExitCodes:
     def test_missing_file_is_code_2(self, capsys):
         assert run_main(capsys, ["test", "--input", "/nonexistent.csv", "--response", "y"])[0] == 2
 
+    @pytest.mark.parametrize("flag", ["--workers", "--seed"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--model", "model1", "--n", "30", "--B", "9"],
+            ["power", "--model", "model1", "--n", "30", "--reps", "2", "--B", "9"],
+            ["contrast", "--n", "30", "--reps", "30"],
+        ],
+        ids=["test", "power", "contrast"],
+    )
+    def test_negative_workers_or_seed_is_code_2(self, capsys, argv, flag):
+        code, _, err = run_main(capsys, argv + [flag, "-1"])
+        assert code == 2
+        assert "got -1" in err
+
     def test_singular_design_is_code_3(self, capsys, tmp_path):
         rows = [[x, x, 2 * x + 1] for x in (0.2, 0.5, 0.9, 1.4, 1.8, 2.2)]
         path = write_csv(tmp_path / "collinear.csv", ["x1", "x2", "y"], rows)
@@ -315,6 +330,21 @@ class TestPowerCommand:
         cell = payload["cells"][0]
         assert cell["reps"] == 3
         assert 0.0 <= cell["rate"] <= 1.0
+
+    def test_all_aborted_cell_is_null_in_json_and_nan_in_csv(self, capsys):
+        """At n=6 every model2 trial aborts, so the cell has no rate."""
+        argv = ["power", "--model", "model2", "--n", "6", "--reps", "3", "--B", "9", "--seed", "0"]
+
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        cell = json.loads(out, parse_constant=reject)["cells"][0]
+        assert (cell["aborts"], cell["rate"], cell["se"]) == (3, None, None)
+        code, out, _ = run_main(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[1].endswith(",3,nan,nan")
 
 
 class TestContrastCommand:

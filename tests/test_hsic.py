@@ -12,7 +12,6 @@ from hsicreg import (
     HsicValue,
     KernelSpec,
     gram_matrix,
-    hsic_pairs_stat,
     hsic_sums,
     hsic_vstat,
     residual_hsic_stat,
@@ -199,23 +198,6 @@ def test_shape_mismatch_rejected():
         hsic_vstat(np.ones((3, 3)), np.ones((4, 4)))
     with pytest.raises(ValueError):
         hsic_sums(np.ones((3, 4)), np.ones((3, 4)))
-
-
-def test_pairs_stat_equals_manual_grams():
-    rng = np.random.default_rng(58)
-    u = rng.normal(size=(30, 2))
-    v = rng.normal(size=30)
-    spec_u = KernelSpec(bandwidth=1.2)
-    spec_v = KernelSpec(bandwidth=0.8)
-    want = hsic_vstat(gram_matrix(u, spec_u), gram_matrix(v, spec_v))
-    got = hsic_pairs_stat(u, v, spec_u, spec_v)
-    assert got.value == want.value
-    assert got.n == 30
-
-
-def test_pairs_stat_size_mismatch():
-    with pytest.raises(ValueError):
-        hsic_pairs_stat(np.zeros(5), np.zeros(6), KernelSpec(), KernelSpec())
 
 
 class TestPreparedStat:

@@ -9,7 +9,6 @@ from hsicreg import (
     DesignSpec,
     SingularDesignError,
     coordinate,
-    custom,
     fit_ols,
     intercept,
     product,
@@ -56,13 +55,6 @@ def test_evaluate_design_columns():
     np.testing.assert_array_equal(G[:, 1], [2.0, 4.0])
     np.testing.assert_array_equal(G[:, 2], [2.0, 12.0])
     np.testing.assert_array_equal(G[:, 3], [1.0, 9.0])
-
-
-def test_evaluate_design_custom_term():
-    X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    spec = DesignSpec((custom("sum", lambda row: row.sum()),))
-    G = evaluate_design(X, spec)
-    np.testing.assert_array_equal(G[:, 0], [3.0, 7.0])
 
 
 def test_evaluate_design_out_of_range_column():

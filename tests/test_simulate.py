@@ -26,7 +26,6 @@ class TestModelSpec:
         assert ModelSpec("model1", n=100).dim == 4
         assert ModelSpec("model2", n=100).dim == 4
         assert ModelSpec("linear1d", n=100).dim == 1
-        assert ModelSpec("model1", n=100, d0=2).dim == 2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -35,19 +34,14 @@ class TestModelSpec:
             dict(model="model1", n=0),
             dict(model="model1", n=50, lam=-1.0),
             dict(model="model1", n=50, noise_sd=0.0),
-            dict(model="model2", n=50, d0=3),
-            dict(model="linear1d", n=50, d0=2),
-            dict(model="model1", n=50, d0=1),
+            dict(model="custom", n=50),
+            dict(model="model1", n=50, noise_sd=float("nan")),
+            dict(model="model1", n=50, noise_sd=-1.0),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValueError):
             ModelSpec(**kwargs)
-
-    def test_custom_needs_explicit_dim(self):
-        spec = ModelSpec("custom", n=30)
-        with pytest.raises(ValueError, match="d0"):
-            spec.dim
 
 
 class TestGenerators:
@@ -99,23 +93,6 @@ class TestGenerators:
             ModelSpec("model1", n=100, lam=20.0, noise_sd=2.0), np.random.default_rng(5)
         )
         np.testing.assert_array_equal(wide.errors, 2.0 * base.errors)
-
-    def test_custom_model_requires_sampler(self):
-        spec = ModelSpec("custom", n=30, d0=2)
-        with pytest.raises(ValueError, match="sampler"):
-            draw_model(spec, np.random.default_rng(0))
-
-    def test_custom_sampler_is_used(self):
-        from hsicreg import Dataset, SimulatedData
-
-        def sampler(spec, rng):
-            X = np.full((spec.n, spec.d0), 0.25)
-            e = np.zeros(spec.n)
-            return SimulatedData(Dataset(X, X[:, 0] + e), e)
-
-        sim = draw_model(ModelSpec("custom", n=7, d0=2), np.random.default_rng(0), sampler)
-        assert sim.data.n == 7
-        np.testing.assert_array_equal(sim.data.response, np.full(7, 0.25))
 
 
 class TestNoiseLaw:
@@ -179,8 +156,6 @@ def test_reference_percent_rows_align():
 def test_working_design_matches_dim():
     assert working_design(ModelSpec("model1", n=10)).labels == ("1", "x1", "x2", "x3", "x4")
     assert working_design(ModelSpec("linear1d", n=10)).labels == ("1", "x1")
-    with pytest.raises(ValueError):
-        working_design(ModelSpec("custom", n=10, d0=2))
 
 
 def test_study_kernels_values():
