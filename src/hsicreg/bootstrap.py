@@ -18,6 +18,7 @@ re-standardized and never re-resolve a median bandwidth.
 """
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import _product_sum, prepare_stat, vstat_in_place
+from .hsic import PreparedStat, _product_sum, prepare_stat, vstat_in_place
 from .kernels import KernelSpec, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, fit_ols
 
@@ -42,11 +43,19 @@ class BootstrapConfig:
     workers: int = 1  # 0 = one worker per CPU
 
     def __post_init__(self) -> None:
-        if int(self.replicates) < 1:
+        for name in ("replicates", "seed", "workers"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if int(self.workers) < 0:
+        if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -175,10 +184,38 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(_apply_worker_fn, items, chunksize=chunk))
 
 
+def _add_one_pvalue(exceedances: int, replicates: int) -> float:
+    """(1 + X) / (B + 1): the p-value of X draws >= the statistic among B."""
+    return (1 + exceedances) / (replicates + 1)
+
+
 def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
     """(1 + #{draws >= statistic}) / (B + 1)."""
     draws = np.asarray(draws, dtype=float)
-    return (1 + int(np.count_nonzero(draws >= statistic))) / (draws.size + 1)
+    return _add_one_pvalue(int(np.count_nonzero(draws >= statistic)), draws.size)
+
+
+def _prepare_null(
+    data: Dataset,
+    design: DesignSpec,
+    kernel_x: KernelSpec,
+    kernel_e: KernelSpec,
+    seed: int,
+    alpha: float,
+    standardize: bool,
+) -> tuple[PreparedStat, _NullSnapshot]:
+    """The observed statistic and the frozen state its null replicates draw from."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
+    snap = _NullSnapshot(
+        design=prep.design,
+        gram_x=prep.gram_x,
+        centered_residuals=prep.model.centered_residuals,
+        kernel_e=prep.kernel_e,
+        seed=seed,
+    )
+    return prep, snap
 
 
 def run_test(
@@ -191,17 +228,8 @@ def run_test(
     standardize: bool = True,
 ) -> TestResult:
     """Observed scaled statistic, its null draws, and the calibrated decision."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    snap = _NullSnapshot(
-        design=prep.design,
-        gram_x=prep.gram_x,
-        centered_residuals=prep.model.centered_residuals,
-        kernel_e=prep.kernel_e,
-        seed=config.seed,
-    )
-    draws = np.asarray(parallel_map(partial(_null_draw, snap), range(int(config.replicates)), config.workers))
+    prep, snap = _prepare_null(data, design, kernel_x, kernel_e, config.seed, alpha, standardize)
+    draws = np.asarray(parallel_map(partial(_null_draw, snap), range(config.replicates), config.workers))
     statistic = prep.observed.scaled
     p_value = pvalue_from_draws(draws, statistic)
     return TestResult(
@@ -219,6 +247,35 @@ def run_test(
         standardized=bool(standardize),
         design_labels=design.labels,
     )
+
+
+def _curtailed_reject(
+    data: Dataset,
+    design: DesignSpec,
+    kernel_x: KernelSpec,
+    kernel_e: KernelSpec,
+    config: BootstrapConfig,
+    alpha: float,
+) -> bool:
+    """``run_test(...).reject``, drawing replicates 0, 1, ... only until it is settled.
+
+    With X draws >= the statistic so far, the p-value is at least
+    (1 + X) / (B + 1); once that exceeds ``alpha`` no later draw can bring it
+    back, so the test accepts.  A rejection needs all B draws.  Replicate b
+    is the same draw as in :func:`run_test` (its stream is keyed by the seed
+    and b alone), so the decision is the same too (exact curtailed sampling,
+    Besag & Clifford 1991).  A twice-singular refit raises
+    :class:`BootstrapAbortError` only if it comes before the decision is
+    settled.  Draws run serially in this process; ``config.workers`` is not read.
+    """
+    prep, snap = _prepare_null(data, design, kernel_x, kernel_e, config.seed, alpha, True)
+    statistic = prep.observed.scaled
+    exceedances = 0
+    for replicate in range(config.replicates):
+        if _add_one_pvalue(exceedances, config.replicates) > alpha:
+            return False
+        exceedances += _null_draw(snap, replicate) >= statistic
+    return _add_one_pvalue(exceedances, config.replicates) <= alpha
 
 
 @dataclass(frozen=True)

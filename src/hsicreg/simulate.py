@@ -38,6 +38,7 @@ from the true errors).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from ._rng import derive_seed, substream
-from .bootstrap import BootstrapConfig, parallel_map, run_test
+from .bootstrap import BootstrapConfig, _curtailed_reject, parallel_map
 from .errors import BootstrapAbortError
 from .hsic import prepare_stat, vstat_in_place
 from .kernels import KernelSpec, gram_matrix
@@ -101,6 +102,10 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if int(self.n) < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for knob in ("a", "lam", "noise_sd"):
+            value = getattr(self, knob)
+            if not math.isfinite(value):
+                raise ValueError(f"{knob} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not self.noise_sd > 0:
@@ -228,12 +233,12 @@ def _power_trial(
     cell, trial = task
     spec = grid[cell]
     sim = draw_model(spec, substream(config.seed, cell, trial, 0))
-    trial_config = replace(config, seed=derive_seed(config.seed, cell, trial, 1), workers=1)
+    trial_config = replace(config, seed=derive_seed(config.seed, cell, trial, 1))
     try:
-        result = run_test(sim.data, working_design(spec), *study_kernels(spec.dim), trial_config, alpha)
+        reject = _curtailed_reject(sim.data, working_design(spec), *study_kernels(spec.dim), trial_config, alpha)
     except BootstrapAbortError:
         return cell, False, True
-    return cell, bool(result.reject), False
+    return cell, reject, False
 
 
 def power_study(
@@ -247,9 +252,14 @@ def power_study(
     Every trial draws its data and its bootstrap seed from streams keyed by
     (seed, cell, trial), so the table is identical no matter how trials are
     scheduled across workers (``config.workers`` parallelizes trials; each
-    trial's bootstrap runs serially).  Trials whose bootstrap aborts on a
-    twice-singular refit are counted per cell, surfaced in the table, and
-    excluded from the rate's denominator.
+    trial's bootstrap runs serially).  A trial draws its replicates in order
+    and stops once its decision is settled: as soon as the draws at or above
+    the observed statistic push the add-one p-value above ``alpha``, it
+    accepts, and it rejects only after all B draws.  Each replicate is the
+    one ``run_test`` would draw, so every decision is ``run_test``'s.  A
+    trial counts as aborted only if a twice-singular refit comes before its
+    decision is settled; aborted trials are counted per cell, surfaced in
+    the table, and excluded from the rate's denominator.
     """
     grid = list(grid)
     if not grid:

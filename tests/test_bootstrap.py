@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hsicreg.bootstrap
 from hsicreg import (
     BootstrapAbortError,
     BootstrapConfig,
@@ -19,9 +20,10 @@ from hsicreg import (
     replicate_indices,
     residual_hsic_stat,
     run_test,
+    study_kernels,
     working_design,
 )
-from hsicreg.bootstrap import _NullSnapshot, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
+from hsicreg.bootstrap import _curtailed_reject, _NullSnapshot, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
 from hsicreg._rng import substream
 from hsicreg.hsic import hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
@@ -326,6 +328,139 @@ class TestSingularReplicates:
             _null_draw(snap, doomed)
 
 
+def _recording(monkeypatch, draw=_null_draw):
+    """Route every null replicate through ``draw``; returns the replicate indices drawn."""
+    drawn = []
+
+    def recorded(snap, replicate):
+        drawn.append(replicate)
+        return draw(snap, replicate)
+
+    monkeypatch.setattr(hsicreg.bootstrap, "_null_draw", recorded)
+    return drawn
+
+
+def _largest_accepted_count(replicates, alpha):
+    """k: the most draws >= the statistic among B that still reject, or -1 if none do."""
+    return max((x for x in range(replicates + 1) if (1 + x) / (replicates + 1) <= alpha), default=-1)
+
+
+class TestCurtailedReject:
+    """The decide-only path power trials use: run_test's decision from a prefix of its draws."""
+
+    def test_decision_and_prefix_match_run_test(self, monkeypatch):
+        drawn = _recording(monkeypatch)
+        trials = 0
+        for B, per_cell in ((19, 28), (199, 14), (500, 8)):
+            k = _largest_accepted_count(B, 0.05)
+            decisions = set()
+            for spec in (ModelSpec("model1", n=50), ModelSpec("model1", n=50, a=10.0),
+                         ModelSpec("model2", n=50), ModelSpec("model2", n=50, a=0.6)):
+                args = (working_design(spec), *study_kernels(spec.dim))
+                for trial in range(per_cell):
+                    data = draw_model(spec, substream(B, trial)).data
+                    config = BootstrapConfig(replicates=B, seed=trial)
+                    drawn.clear()
+                    decision = _curtailed_reject(data, *args, config, 0.05)
+                    evaluated = list(drawn)
+                    full = run_test(data, *args, config, 0.05)
+                    assert decision == full.reject
+                    assert evaluated == list(range(len(evaluated)))
+                    hits = full.null_draws[: len(evaluated)] >= full.statistic
+                    if decision:
+                        assert len(evaluated) == B
+                    else:
+                        assert hits.sum() == k + 1 and hits[-1]
+                    decisions.add(decision)
+                    trials += 1
+            assert decisions == {False, True}
+        assert trials >= 200
+
+    @pytest.mark.parametrize(
+        "alpha, B, k",
+        [(0.05, 199, 9), (0.05, 19, 0), (0.1, 29, 2), (0.29, 99, 28), (0.05, 9, -1)],
+        ids=["B199", "B19", "alpha(B+1)=3", "floor-would-say-27", "never-rejects"],
+    )
+    @pytest.mark.parametrize("extra", [0, 1], ids=["X=k", "X=k+1"])
+    def test_boundary(self, monkeypatch, alpha, B, k, extra):
+        """X = k draws at the statistic still reject; X = k + 1 accept, right after the last one."""
+        assert k == _largest_accepted_count(B, alpha)
+        data = toy_data(81)
+        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=B, seed=0))
+        observed = prepare_stat(data, *args[:3]).observed.scaled
+        exceedances = max(k + extra, 0)
+        hits = set(range(1, 2 * exceedances, 2))  # ties with the statistic count
+        drawn = _recording(monkeypatch, lambda snap, b: observed if b in hits else -1.0)
+
+        decision = _curtailed_reject(data, *args, alpha)
+        evaluated = list(drawn)
+        drawn.clear()
+        full = run_test(data, *args, alpha)
+        assert drawn == list(range(B))
+        assert full.p_value == (1 + exceedances) / (B + 1)
+        assert decision == full.reject == (exceedances <= k)
+        assert evaluated == list(range(B if decision else max(hits, default=-1) + 1))
+
+    def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch):
+        data = toy_data(82)
+        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19, seed=0))
+
+        def draws(settle_at, abort_at):
+            def draw(snap, b):
+                if b == abort_at:
+                    raise BootstrapAbortError(f"replicate {b}: singular twice")
+                return np.inf if b == settle_at else -1.0
+            return draw
+
+        drawn = _recording(monkeypatch, draws(settle_at=2, abort_at=3))
+        assert not _curtailed_reject(data, *args, 0.05)
+        assert drawn == [0, 1, 2]
+        with pytest.raises(BootstrapAbortError):
+            run_test(data, *args, 0.05)
+        _recording(monkeypatch, draws(settle_at=3, abort_at=2))
+        with pytest.raises(BootstrapAbortError):
+            _curtailed_reject(data, *args, 0.05)
+
+    def test_real_singular_replicates_before_and_after_the_stop(self):
+        """A spiky column makes resamples without row 0 singular, twice over for some replicates."""
+        x = np.arange(1.0, 7.0)
+        spike = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        data = Dataset(np.column_stack([x, spike]), np.array([2.0, 1.0, 3.0, 2.5, 4.0, 3.5]))
+        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+
+        def outcome(fn, config):
+            try:
+                return fn(data, *args, config, 0.05)
+            except BootstrapAbortError:
+                return "abort"
+
+        seen = []
+        for seed in range(40):
+            config = BootstrapConfig(replicates=19, seed=seed)
+            full = outcome(lambda *a: run_test(*a).reject, config)
+            curtailed = outcome(_curtailed_reject, config)
+            if full == "abort":
+                assert curtailed in (False, "abort")
+                seen.append(curtailed)
+            else:
+                assert curtailed == full
+        assert False in seen and "abort" in seen
+
+    def test_run_test_still_draws_every_replicate(self, monkeypatch):
+        """A null trial settles early, but run_test reports all B draws and their p-value."""
+        drawn = _recording(monkeypatch)
+        spec = ModelSpec("model1", n=50)
+        data = draw_model(spec, substream(0, 0)).data
+        args = (data, working_design(spec), *study_kernels(spec.dim), BootstrapConfig(replicates=199, seed=3))
+        assert not _curtailed_reject(*args, 0.05)
+        assert len(drawn) < 199
+        drawn.clear()
+        res = run_test(*args, 0.05)
+        assert drawn == list(range(199))
+        assert res.null_draws.shape == (199,)
+        assert res.p_value == pvalue_from_draws(res.null_draws, res.statistic)
+
+
 class TestPermutationBaseline:
     def test_identical_samples_give_smallest_pvalue(self):
         rng = np.random.default_rng(81)
@@ -450,3 +585,20 @@ def test_bootstrap_config_validation():
         BootstrapConfig(workers=-1)
     with pytest.raises(ValueError):
         BootstrapConfig(seed=-3)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(replicates=19.7), dict(workers=1.5), dict(seed=2.9), dict(replicates=True), dict(seed=False),
+     dict(workers=True), dict(replicates=20.0), dict(replicates="19")],
+)
+def test_bootstrap_config_rejects_non_integers(kwargs):
+    """B must be one integer, so the stop rule and the p-value both divide by B + 1."""
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        BootstrapConfig(**kwargs)
+
+
+def test_bootstrap_config_accepts_numpy_integers():
+    config = BootstrapConfig(replicates=np.int64(19), seed=np.uint32(2), workers=np.int8(1))
+    assert range(config.replicates) == range(19)

@@ -282,6 +282,21 @@ class TestExitCodes:
         assert code == 2
         assert "got -1" in err
 
+    @pytest.mark.parametrize(
+        "argv, knob",
+        [
+            (["simulate", "--model", "model1", "--n", "5", "--lambda", "nan"], "lam"),
+            (["power", "--model", "model1", "--n", "20", "--reps", "2", "--B", "9", "--a", "nan"], "a"),
+            (["simulate", "--model", "model1", "--n", "5", "--a", "inf"], "a"),
+            (["power", "--model", "model1", "--n", "20", "--reps", "2", "--B", "9", "--noise-sd", "inf"], "noise_sd"),
+        ],
+        ids=["simulate-lambda-nan", "power-a-nan", "simulate-a-inf", "power-noise-sd-inf"],
+    )
+    def test_non_finite_model_knob_is_code_2_and_named(self, capsys, argv, knob):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2
+        assert f"error: {knob} must be finite" in err
+
     def test_singular_design_is_code_3(self, capsys, tmp_path):
         rows = [[x, x, 2 * x + 1] for x in (0.2, 0.5, 0.9, 1.4, 1.8, 2.2)]
         path = write_csv(tmp_path / "collinear.csv", ["x1", "x2", "y"], rows)
@@ -332,8 +347,12 @@ class TestPowerCommand:
         assert 0.0 <= cell["rate"] <= 1.0
 
     def test_all_aborted_cell_is_null_in_json_and_nan_in_csv(self, capsys):
-        """At n=6 every model2 trial aborts, so the cell has no rate."""
-        argv = ["power", "--model", "model2", "--n", "6", "--reps", "3", "--B", "9", "--seed", "0"]
+        """At n=6 every model2 trial aborts, so the cell has no rate.
+
+        B = 19 lets a trial reject at alpha 0.05, so it must draw replicates;
+        with B = 9 it could never reject and would be settled before any draw.
+        """
+        argv = ["power", "--model", "model2", "--n", "6", "--reps", "3", "--B", "19", "--seed", "0"]
 
         def reject(token):
             raise ValueError(f"bare {token} is not JSON")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import hsicreg.bootstrap
 from hsicreg import (
+    BootstrapAbortError,
     BootstrapConfig,
     ModelSpec,
     MonotonicityFlag,
@@ -12,13 +14,14 @@ from hsicreg import (
     draw_model,
     monotonicity_report,
     power_study,
+    run_test,
     simulate_linear1d,
     simulate_model1,
     simulate_model2,
     study_kernels,
     working_design,
 )
-from hsicreg._rng import substream
+from hsicreg._rng import derive_seed, substream
 
 
 class TestModelSpec:
@@ -42,6 +45,12 @@ class TestModelSpec:
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValueError):
             ModelSpec(**kwargs)
+
+    @pytest.mark.parametrize("knob", ["a", "lam", "noise_sd"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_knob_is_named(self, knob, value):
+        with pytest.raises(ValueError, match=f"^{knob} must be finite"):
+            ModelSpec("model1", n=50, **{knob: value})
 
 
 class TestGenerators:
@@ -205,6 +214,28 @@ class TestPowerStudy:
 
     def test_worker_count_does_not_change_the_table(self, study_table):
         assert _study(workers=2) == study_table
+
+    def test_trials_decide_as_the_full_bootstrap_does(self, study_table):
+        """Each trial stops once settled; rebuilding every trial with run_test gives the same table."""
+        for c, (spec, cell) in enumerate(zip(STUDY_GRID, study_table.cells)):
+            rejections = 0
+            for trial in range(STUDY_REPS):
+                sim = draw_model(spec, substream(0, c, trial, 0))
+                config = BootstrapConfig(replicates=60, seed=derive_seed(0, c, trial, 1))
+                rejections += run_test(sim.data, working_design(spec), *study_kernels(spec.dim), config).reject
+            assert (cell.rejections, cell.aborts) == (rejections, 0)
+
+    @pytest.mark.parametrize("abort_at, aborts", [(1, 0), (0, 3)], ids=["after-stop", "before-stop"])
+    def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch, abort_at, aborts):
+        """With B = 19 the first draw at or above the statistic settles a trial (it accepts)."""
+        def draw(snap, replicate):
+            if replicate == abort_at:
+                raise BootstrapAbortError(f"replicate {replicate}: singular twice")
+            return np.inf
+
+        monkeypatch.setattr(hsicreg.bootstrap, "_null_draw", draw)
+        table = power_study([ModelSpec("linear1d", n=20)], 0.05, BootstrapConfig(replicates=19, seed=0), reps=3)
+        assert (table.cells[0].aborts, table.cells[0].rejections) == (aborts, 0)
 
     def test_dependence_cell_rejects_more(self, study_table):
         assert study_table.cells[1].rate > study_table.cells[0].rate + 0.1
