@@ -14,7 +14,11 @@ as a baseline for the no-regression setting.  The contrast that shows why is
 :func:`hsicreg.simulate.null_distribution_contrast`, beside the power harness.
 
 Kernels and bandwidths are frozen from the original fit; replicates are never
-re-standardized and never re-resolve a median bandwidth.
+re-standardized and never re-resolve a median bandwidth.  A replicate gathers
+nothing n x n: it passes its predictor-row indices and refit residuals to the
+tiled statistic (:func:`hsicreg.hsic._tiled_stat`), the same kernel that
+computed the observed statistic, which reads the frozen predictor Gram and
+works in T*n + 2*T^2 floats of per-process scratch.
 """
 from __future__ import annotations
 
@@ -29,9 +33,23 @@ import numpy as np
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import PreparedStat, _product_sum, prepare_stat, vstat_in_place
+from .hsic import PreparedStat, _product_sum, _tile_scratch, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, fit_ols
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming the knob unless ``value`` is an integer.
+
+    Anything with ``__index__`` passes (numpy integers too); bools and
+    non-integral numbers do not, so no count or seed is silently truncated.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -44,13 +62,7 @@ class BootstrapConfig:
 
     def __post_init__(self) -> None:
         for name in ("replicates", "seed", "workers"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            check_integer(name, getattr(self, name))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.workers < 0:
@@ -94,33 +106,14 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     return idx_x[order], idx_e[order]
 
 
-class _Buffered:
-    """Two n x n work buffers for a snapshot's replicates, made once per process.
-
-    A replicate gathers into the second through the first; a null replicate
-    then builds in the first the Gram that :func:`vstat_in_place` centers.
-    """
-
-    n: int
-
-    @cached_property
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.empty((self.n, self.n)), np.empty((self.n, self.n))
-
-
-def _gather(gram: np.ndarray, idx: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``gram[np.ix_(idx, idx)]`` written into ``out``, with ``rows`` as scratch.
-
-    ``mode="clip"`` keeps ``take`` from allocating a hidden output buffer;
-    the indices are always in range.
-    """
-    np.take(gram, idx, axis=0, out=rows, mode="clip")
-    return np.take(rows, idx, axis=1, out=out, mode="clip")
-
-
 @dataclass(frozen=True)
-class _NullSnapshot(_Buffered):
-    """Frozen state a null replicate needs: original design rows, Gram, residuals, kernel."""
+class _NullSnapshot:
+    """Frozen state a null replicate needs: original design rows, Gram, residuals, kernel.
+
+    The predictor Gram is only read: a replicate hands it, with its
+    resampled row indices and refit residuals, to the tiled statistic, which
+    works in ``scratch`` (T*n + 2*T^2 floats, made once per process).
+    """
 
     design: np.ndarray
     gram_x: np.ndarray
@@ -132,6 +125,10 @@ class _NullSnapshot(_Buffered):
     def n(self) -> int:
         return self.centered_residuals.shape[0]
 
+    @cached_property
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _tile_scratch(self.n)
+
 
 def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
     n = snap.n
@@ -141,10 +138,7 @@ def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
             refit = fit_ols(snap.design[idx_x], snap.centered_residuals[idx_e])
         except SingularDesignError:
             continue
-        rows, gram_x = snap.buffers
-        _gather(snap.gram_x, idx_x, rows, gram_x)
-        gram_e = gram_matrix(refit.residuals, snap.kernel_e, out=rows)
-        return float(n * vstat_in_place(gram_x, gram_e).value)
+        return float(n * _tiled_stat(snap.gram_x, idx_x, refit.residuals, snap.kernel_e, snap.scratch).value)
     raise BootstrapAbortError(
         f"replicate {replicate}: singular refit on the draw and its one redraw; aborting"
     )
@@ -279,8 +273,12 @@ def _curtailed_reject(
 
 
 @dataclass(frozen=True)
-class _PermSnapshot(_Buffered):
-    """The first Gram and the second one centered once: P HLH P' = H PLP' H."""
+class _PermSnapshot:
+    """The first Gram and the second one centered once: P HLH P' = H PLP' H.
+
+    A permutation gathers the centered Gram into the second of two n x n
+    ``buffers`` through the first; both are made once per process.
+    """
 
     gram_u: np.ndarray
     centered_v: np.ndarray
@@ -290,10 +288,16 @@ class _PermSnapshot(_Buffered):
     def n(self) -> int:
         return self.gram_u.shape[0]
 
+    @cached_property
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((self.n, self.n)), np.empty((self.n, self.n))
+
 
 def _permuted_stat(snap: _PermSnapshot, perm: np.ndarray) -> float:
     rows, permuted = snap.buffers
-    _gather(snap.centered_v, perm, rows, permuted)
+    # mode="clip" keeps take from allocating a hidden output buffer; perm is in range.
+    np.take(snap.centered_v, perm, axis=0, out=rows, mode="clip")
+    np.take(rows, perm, axis=1, out=permuted, mode="clip")
     return _product_sum(snap.gram_u, permuted).value
 
 

@@ -3,25 +3,33 @@
 Two algebraically independent routes to the same estimate are kept side by
 side on purpose:
 
-* :func:`hsic_vstat` — the production path, n^-2 tr(K HLH) = n^-2 tr(HKH HLH):
-  only the second Gram is centered, through row/column/grand means in O(n^2),
-  and one product-sum, n^-2 sum_ij K_ij (HLH)_ij, finishes every statistic
-  (the permutation baseline centers once, as P HLH P' = H PLP' H);
+* :func:`hsic_vstat` — the public two-Gram form, n^-2 tr(K HLH) =
+  n^-2 tr(HKH HLH): only the second Gram is centered, through
+  row/column/grand means in O(n^2), and one product-sum,
+  n^-2 sum_ij K_ij (HLH)_ij, finishes it (the permutation baseline centers
+  once, as P HLH P' = H PLP' H, and reuses the product-sum);
 * :func:`hsic_sums` — the explicit three-sum form (pair, full-average, and
   row-linked averages), kept as a cross-check oracle.
 
 Both are exercised against each other and against literal nested-loop sums in
-the test suite; neither may be redefined in terms of the other.  Both sum in
-plain float64 at every n, so results do not depend on the platform's
-``long double`` width.
+the test suite; neither may be redefined in terms of the other.
+
+The residual bootstrap's statistics — the observed one in
+:func:`prepare_stat` and every null replicate — come from one tiled kernel,
+:func:`_tiled_stat`.  It takes the predictor Gram K, the replicate's row
+indices and the residuals, centers the gathered K through the index counts
+and builds the residual Gram in upper T x T tiles, so no n x n array beyond
+K is formed.  Every sum is plain float64 with no BLAS call, so results depend
+neither on the platform's ``long double`` width nor on BLAS threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, center_gram, gram_matrix, resolve_bandwidth
+from .kernels import KernelSpec, _gram_tile, center_gram, gram_matrix, resolve_bandwidth
 from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, evaluate_design, fit_ols, standardize_dataset
 
 
@@ -58,27 +66,82 @@ def _product_sum(K: np.ndarray, centered: np.ndarray) -> HsicValue:
     return HsicValue(float(total / n**2), n)
 
 
-def vstat_in_place(K: np.ndarray, L: np.ndarray) -> HsicValue:
-    """The V-statistic from two Gram matrices, reading ``K`` and overwriting ``L``.
-
-    Computes n^-2 sum_ij K_ij (HLH)_ij without materializing the centering
-    matrix H: ``L`` is centered in place, then :func:`_product_sum` finishes.
-    ``K`` is never written.  ``L`` must be a float64 buffer that shares no
-    memory with ``K``; this is the allocation-free kernel behind
-    :func:`hsic_vstat` and the null replicates.
-    """
-    K, L, n = _check_gram_pair(K, L)
-    if np.may_share_memory(K, L):
-        raise ValueError("vstat_in_place needs two distinct buffers")
-    return _product_sum(K, center_gram(L, out=L))
-
-
 def hsic_vstat(K, L) -> HsicValue:
     """The V-statistic from two Gram matrices, centering a copy of ``L`` only.
 
-    Computes n^-2 sum_ij K_ij (HLH)_ij; neither input is changed.
+    Computes n^-2 sum_ij K_ij (HLH)_ij without materializing the centering
+    matrix H; neither input is changed.
     """
-    return vstat_in_place(K, np.array(L, dtype=float))
+    K, L, n = _check_gram_pair(K, L)
+    return _product_sum(K, center_gram(L))
+
+
+#: Side of the square tiles :func:`_tiled_stat` works in.  Two 128 x 128
+#: float64 tiles take 256 KiB, well inside a core's L2 cache; the sweep
+#: that chose it is recorded in CHANGES.md.
+_TILE = 128
+
+
+def _tile_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work memory for :func:`_tiled_stat` at sample size ``n``: T*n + 2*T^2 floats."""
+    t = min(_TILE, n)
+    return np.empty((t, n)), np.empty(t * t), np.empty(t * t)
+
+
+def _tiled_stat(
+    K: np.ndarray,
+    idx: np.ndarray,
+    points: np.ndarray,
+    kernel: KernelSpec,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> HsicValue:
+    """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L = gram_matrix(points, kernel), tile by tile.
+
+    ``points`` are n 1-D values, ``idx`` n row indices into the read-only
+    Gram ``K``, and ``scratch`` comes from :func:`_tile_scratch`.  Neither
+    n x n matrix is formed:
+
+    * the gathered Gram is centered through index counts: with c the counts
+      of ``idx`` and Kc = K c, its row means are u = Kc[idx] / n and its
+      grand mean is g = c'Kc / n^2 = sum_i Kc[idx_i] / n^2, so a centered
+      tile is K[idx_I, idx_J] - u_I - (u_J - g);
+    * each tile of L is built by :func:`~hsicreg.kernels._gram_tile`, so it
+      is bit-equal to the matching block of ``gram_matrix(points, kernel)``;
+    * both matrices are symmetric, so only tiles with J >= I are formed and
+      each off-diagonal tile's sum counts twice.
+
+    Every sum is an ``einsum`` or ``math.fsum`` (never a BLAS call), so the
+    bits cannot depend on BLAS threads or on the worker count.
+    """
+    n = idx.shape[0]
+    rows, k_flat, l_flat = scratch
+    bandwidth = resolve_bandwidth(kernel, points).bandwidth
+    counts = np.bincount(idx, minlength=K.shape[0]).astype(float)
+    row_sums = np.einsum("ij,j->i", K, counts)[idx]
+    # c'Kc = sum_i Kc[idx_i], summed exactly: an error in g is multiplied by
+    # the sum of all of L, which no centering cancels.
+    grand = math.fsum(row_sums.tolist()) / n**2
+    row_means = row_sums / n
+    col_offsets = row_means - grand
+    total = 0.0
+    for top in range(0, n, _TILE):
+        bottom = min(top + _TILE, n)
+        block = rows[: bottom - top]
+        # Every out= is a contiguous view and mode="clip" (idx is in range) keeps
+        # take from allocating a hidden output buffer.
+        np.take(K, idx[top:bottom], axis=0, out=block, mode="clip")
+        for left in range(top, n, _TILE):
+            right = min(left + _TILE, n)
+            shape = (bottom - top, right - left)
+            k_tile = k_flat[: shape[0] * shape[1]].reshape(shape)
+            l_tile = l_flat[: shape[0] * shape[1]].reshape(shape)
+            np.take(block, idx[left:right], axis=1, out=k_tile, mode="clip")
+            np.subtract(k_tile, row_means[top:bottom, None], out=k_tile)
+            np.subtract(k_tile, col_offsets[left:right], out=k_tile)
+            _gram_tile(points[top:bottom], points[left:right], bandwidth, l_tile)
+            tile_sum = np.einsum("ij,ij->", k_tile, l_tile)
+            total += tile_sum if left == top else 2.0 * tile_sum
+    return HsicValue(float(total / n**2), n)
 
 
 def hsic_sums(K, L) -> HsicValue:
@@ -128,13 +191,14 @@ def prepare_stat(
     kx = resolve_bandwidth(kernel_x, data.predictors)
     ke = resolve_bandwidth(kernel_e, model.residuals)
     K = gram_matrix(data.predictors, kx)
+    n = K.shape[0]
     return PreparedStat(
         design=G,
         model=model,
         kernel_x=kx,
         kernel_e=ke,
         gram_x=K,
-        observed=vstat_in_place(K, gram_matrix(model.residuals, ke)),
+        observed=_tiled_stat(K, np.arange(n), model.residuals, ke, _tile_scratch(n)),
         scales=scales,
     )
 

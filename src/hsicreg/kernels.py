@@ -89,8 +89,8 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     return replace(spec, bandwidth=median_heuristic(points), rule=FIXED)
 
 
-def gram_matrix(points, spec: KernelSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """The n x n Gram matrix of ``points`` under ``spec``, written into ``out`` if given.
+def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
+    """The n x n Gram matrix of ``points`` under ``spec``.
 
     Squared distances are summed one coordinate at a time, in coordinate
     order, exactly as ``pdist(points, "sqeuclidean")`` sums them, so the bits
@@ -101,8 +101,7 @@ def gram_matrix(points, spec: KernelSpec, out: np.ndarray | None = None) -> np.n
     pts = as_points(points)
     resolved = resolve_bandwidth(spec, pts)
     n = pts.shape[0]
-    if out is None:
-        out = np.empty((n, n))
+    out = np.empty((n, n))
     first, *rest = pts.T
     np.subtract.outer(first, first, out=out)
     np.multiply(out, out, out=out)
@@ -112,6 +111,20 @@ def gram_matrix(points, spec: KernelSpec, out: np.ndarray | None = None) -> np.n
         np.multiply(term, term, out=term)
         np.add(out, term, out=out)
     np.divide(out, -(resolved.bandwidth * resolved.bandwidth), out=out)
+    return np.exp(out, out=out)
+
+
+def _gram_tile(left: np.ndarray, right: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
+    """One block of the Gram matrix of 1-D points, written into ``out``.
+
+    The same elementwise operations, in the same order, as the 1-D path of
+    :func:`gram_matrix` (subtract, square, divide by -bandwidth^2, exp), so
+    with ``left = points[I]`` and ``right = points[J]`` the block is
+    bit-equal to ``gram_matrix(points, spec)[I, J]``.
+    """
+    np.subtract.outer(left, right, out=out)
+    np.multiply(out, out, out=out)
+    np.divide(out, -(bandwidth * bandwidth), out=out)
     return np.exp(out, out=out)
 
 

@@ -48,10 +48,10 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from ._rng import derive_seed, substream
-from .bootstrap import BootstrapConfig, _curtailed_reject, parallel_map
+from .bootstrap import BootstrapConfig, _curtailed_reject, check_integer, parallel_map
 from .errors import BootstrapAbortError
-from .hsic import prepare_stat, vstat_in_place
-from .kernels import KernelSpec, gram_matrix
+from .hsic import _tile_scratch, _tiled_stat, prepare_stat
+from .kernels import KernelSpec
 from .linreg import Dataset, DesignSpec
 
 MODEL1 = "model1"
@@ -100,7 +100,8 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.model not in _DIM:
             raise ValueError(f"unknown model {self.model!r}")
-        if int(self.n) < 1:
+        check_integer("n", self.n)
+        if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for knob in ("a", "lam", "noise_sd"):
             value = getattr(self, knob)
@@ -264,6 +265,7 @@ def power_study(
     grid = list(grid)
     if not grid:
         raise ValueError("empty simulation grid")
+    check_integer("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not 0.0 < alpha < 1.0:
@@ -325,7 +327,8 @@ def _contrast_rep(
     sim = draw_model(spec, substream(seed, replication))
     prep = prepare_stat(sim.data, working_design(spec), kernel_x, kernel_e, standardize)
     sd = prep.scales.response_sd if prep.scales is not None else 1.0
-    err_arm = prep.observed.n * vstat_in_place(prep.gram_x, gram_matrix(sim.errors / sd, prep.kernel_e)).value
+    n = prep.observed.n
+    err_arm = n * _tiled_stat(prep.gram_x, np.arange(n), sim.errors / sd, prep.kernel_e, _tile_scratch(n)).value
     return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
 
 
@@ -350,6 +353,8 @@ def null_distribution_contrast(
     Replications run on ``workers`` processes (0 = one per CPU) without
     changing the result.
     """
+    for name, value in (("reps", reps), ("seed", seed), ("workers", workers)):
+        check_integer(name, value)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if spec.n < 3:

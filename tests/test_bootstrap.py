@@ -108,33 +108,35 @@ def _snapshot_for(data, design, seed):
 
 
 def test_replicate_allocates_no_n_by_n_array():
-    """After a warm-up replicate, replicates reuse the snapshot's buffers.
+    """Replicates work in the snapshot's tile scratch, made by the first one.
 
-    numpy reports its data buffers to tracemalloc, so the traced peak over ten
-    replicates must stay below one n x n float64 array.
+    numpy reports its data buffers to tracemalloc, so the traced peak over a
+    first replicate (which makes the scratch) and ten warm ones at n = 2000
+    must stay below a fifth of one n x n float64 array.
     """
-    n = 300
+    n = 2000
     snap = _snapshot_for(toy_data(72, n=n, d0=4), DesignSpec.main_effects(4), seed=3)
-    _null_draw(snap, 0)
     tracemalloc.start()
     try:
-        for b in range(1, 11):
+        for b in range(11):
             _null_draw(snap, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n * n, f"traced peak {peak} bytes = {peak / (8 * n * n):.2f} n x n arrays"
+    assert peak < 0.2 * 8 * n * n, f"traced peak {peak} bytes = {peak / (8 * n * n):.3f} n x n arrays"
 
 
 def test_buffered_replicates_equal_allocating_reference():
-    """Replicates that reuse one snapshot's buffers match a from-scratch computation, bit for bit."""
-    snap = _snapshot_for(toy_data(74, n=60, d0=3), DesignSpec.main_effects(3), seed=5)
+    """Replicates that reuse one snapshot's scratch equal n times the fsum
+    oracle on the gathered predictor Gram and the refit residuals' Gram."""
+    n = 300
+    snap = _snapshot_for(toy_data(74, n=n, d0=3), DesignSpec.main_effects(3), seed=5)
     for b in range(6):
-        idx_x, idx_e = replicate_indices(5, b, 60)
+        idx_x, idx_e = replicate_indices(5, b, n)
         refit = fit_ols(snap.design[idx_x], snap.centered_residuals[idx_e])
         gram_x = snap.gram_x[np.ix_(idx_x, idx_x)]
-        want = 60 * hsic_vstat(gram_x, gram_matrix(refit.residuals, snap.kernel_e)).value
-        assert _null_draw(snap, b) == want, b
+        want = n * fsum_hsic(gram_x, gram_matrix(refit.residuals, snap.kernel_e))
+        assert _null_draw(snap, b) == pytest.approx(want, rel=1e-10), b
 
 
 def test_null_draw_matches_oracle_on_raw_pairs():
@@ -157,8 +159,9 @@ def test_null_draw_matches_oracle_on_raw_pairs():
 
 
 def test_each_replicate_centers_one_gram(monkeypatch):
-    """A bootstrap replicate centers only the Gram it builds; a permutation
-    replicate centers none, since its permuted Gram was centered once."""
+    """A bootstrap replicate centers only the gathered predictor Gram, inside
+    its tiles through index counts, so it never calls ``center_gram``; a
+    permutation replicate centers none, since its permuted Gram was centered once."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -172,9 +175,8 @@ def test_each_replicate_centers_one_gram(monkeypatch):
     for module in ("hsicreg.hsic", "hsicreg.kernels", "hsicreg.bootstrap"):
         monkeypatch.setattr(f"{module}.center_gram", counted)
     _null_draw(snap, 0)
-    assert len(calls) == 1
     _perm_draw(perm, 0)
-    assert len(calls) == 1
+    assert calls == []
 
 
 _REDUCED = []
@@ -549,6 +551,13 @@ class TestContrast:
         )
         np.testing.assert_array_equal(res.residual_stats, res.error_stats)
         assert res.ks_distance == 0.0
+
+    @pytest.mark.parametrize("knob, value", [("workers", 1.7), ("seed", 2.5), ("reps", 3.5), ("workers", True)])
+    def test_non_integer_knob_is_named(self, knob, value):
+        """No count or seed is truncated: 1.7 workers is an error, not one worker."""
+        kwargs = {"reps": 30, "seed": 6, "workers": 1, knob: value}
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer, got {value!r}$"):
+            null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), **kwargs)
 
     def test_undersampled_warning(self):
         with pytest.warns(UserWarning, match="replications per arm"):

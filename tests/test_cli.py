@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsicreg
 from hsicreg import BootstrapConfig, DesignSpec, ModelSpec, draw_model, run_test, study_kernels
 from hsicreg._rng import derive_seed, substream
 from hsicreg.cli import load_csv, main, parse_design
@@ -156,6 +160,22 @@ class TestTestCommand:
         assert payload["design"] == ["1", "x1"]
         assert len(payload["beta_hat"]) == 2
         assert payload["statistic"] >= 0.0
+
+    def test_blas_threads_do_not_change_the_bytes(self, tmp_path):
+        """The statistic makes no BLAS call, so the artifact is the same under
+        one and two BLAS threads; n = 300 spans three statistic tiles."""
+        src = Path(hsicreg.__file__).resolve().parent.parent
+        artifacts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(src)}
+            subprocess.run(
+                [sys.executable, "-m", "hsicreg.cli", "test", "--model", "model1", "--n", "300",
+                 "--B", "20", "--seed", "1", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
 
     def test_on_csv_with_predictor_subset(self, capsys, tmp_path):
         out_path = tmp_path / "data.csv"

@@ -16,8 +16,8 @@ from hsicreg import (
     hsic_vstat,
     residual_hsic_stat,
 )
-from hsicreg.hsic import prepare_stat, vstat_in_place
-from hsicreg.kernels import MEDIAN
+from hsicreg.hsic import _TILE, _tile_scratch, _tiled_stat, prepare_stat
+from hsicreg.kernels import MEDIAN, _gram_tile
 
 
 def literal_sums(K, L):
@@ -150,13 +150,6 @@ def test_both_routes_match_fsum_oracle_at_large_n(n):
     assert hsic_sums(K, L).value == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 31, 400])
-def test_in_place_kernel_equals_hsic_vstat(n):
-    rng = np.random.default_rng(60 + n)
-    K, L = random_gram_pair(rng, n)
-    assert vstat_in_place(K.copy(), L.copy()).value == hsic_vstat(K, L).value
-
-
 def test_hsic_vstat_leaves_inputs_unchanged():
     rng = np.random.default_rng(61)
     K, L = random_gram_pair(rng, 29)
@@ -165,20 +158,80 @@ def test_hsic_vstat_leaves_inputs_unchanged():
     assert np.array_equal(K, K0) and np.array_equal(L, L0)
 
 
+def _index_sets(rng, n):
+    """Identity, a sorted bootstrap draw with repeats, and one value repeated n times."""
+    return {
+        "identity": np.arange(n),
+        "bootstrap": np.sort(rng.integers(0, n, size=n)),
+        "one value": np.full(n, n // 2),
+    }
+
+
+class TestTiledStat:
+    """The replicate kernel against the fsum oracle on the gathered Grams."""
+
+    @pytest.mark.parametrize("n", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 1000])
+    def test_matches_fsum_oracle_on_the_gathered_grams(self, n):
+        rng = np.random.default_rng(67 + n)
+        K = gram_matrix(rng.normal(size=(n, 3)), KernelSpec(bandwidth=2.0))
+        points = rng.normal(size=n)
+        kernel = KernelSpec(bandwidth=1.3)
+        scratch = _tile_scratch(n)
+        for name, idx in _index_sets(rng, n).items():
+            got = _tiled_stat(K, idx, points, kernel, scratch)
+            want = fsum_hsic(K[np.ix_(idx, idx)], gram_matrix(points, kernel))
+            assert got.n == n
+            assert got.value == pytest.approx(want, rel=1e-10, abs=1e-15), name
+
+    def test_forms_upper_tiles_bit_equal_to_gram_matrix(self, monkeypatch):
+        """Only tiles with J >= I are built, once each, and each equals its
+        block of ``gram_matrix`` bit for bit."""
+        n = 2 * _TILE + 1
+        rng = np.random.default_rng(68)
+        points = rng.normal(size=n)
+        kernel = KernelSpec(bandwidth=0.9)
+        tiles = []
+
+        def recorded(left, right, bandwidth, out):
+            tile = _gram_tile(left, right, bandwidth, out)
+            tiles.append((left.copy(), right.copy(), tile.copy()))
+            return tile
+
+        monkeypatch.setattr("hsicreg.hsic._gram_tile", recorded)
+        K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
+        _tiled_stat(K, np.arange(n), points, kernel, _tile_scratch(n))
+        L = gram_matrix(points, kernel)
+        starts = range(0, n, _TILE)
+        want = [(top, left) for top in starts for left in starts if left >= top]
+        assert len(tiles) == len(want)
+        for (top, left), (rows, cols, tile) in zip(want, tiles):
+            block = (slice(top, top + _TILE), slice(left, left + _TILE))
+            assert np.array_equal(rows, points[block[0]]) and np.array_equal(cols, points[block[1]])
+            assert np.array_equal(tile, L[block]), (top, left)
+
+
+@pytest.mark.parametrize("n", [2, 31, 400])
+def test_in_place_kernel_equals_hsic_vstat(n):
+    """The replicate's kernel, which writes only its tile scratch, equals the
+    two-Gram form on the gathered Grams up to rounding."""
+    rng = np.random.default_rng(60 + n)
+    K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec(bandwidth=1.5))
+    points = rng.normal(size=n)
+    idx = np.sort(rng.integers(0, n, size=n))
+    got = _tiled_stat(K, idx, points, KernelSpec(), _tile_scratch(n)).value
+    assert got == pytest.approx(hsic_vstat(K[np.ix_(idx, idx)], gram_matrix(points, KernelSpec())).value,
+                                rel=1e-10, abs=1e-15)
+
+
 def test_in_place_kernel_reads_first_gram_only():
-    """The first argument is read, never written; the second is the work buffer."""
-    rng = np.random.default_rng(62)
-    K, L = random_gram_pair(rng, 37)
-    K0, L0 = K.copy(), L.copy()
-    vstat_in_place(K, L)
-    assert np.array_equal(K, K0)
-    assert not np.array_equal(L, L0)
-
-
-def test_in_place_kernel_rejects_shared_buffers():
-    K = np.ones((4, 4))
-    with pytest.raises(ValueError):
-        vstat_in_place(K, K)
+    """The replicate's kernel reads the predictor Gram and the points, never writes them."""
+    rng = np.random.default_rng(69)
+    n = _TILE + 5
+    K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
+    points = rng.normal(size=n)
+    K0, points0 = K.copy(), points.copy()
+    _tiled_stat(K, np.sort(rng.integers(0, n, size=n)), points, KernelSpec(), _tile_scratch(n))
+    assert np.array_equal(K, K0) and np.array_equal(points, points0)
 
 
 def test_value_is_nonnegative():
@@ -218,7 +271,7 @@ class TestPreparedStat:
         np.testing.assert_array_equal(prep.gram_x, gram_matrix(std.predictors, KernelSpec()))
 
     def test_peak_memory_is_two_grams(self):
-        """One call holds the predictor Gram and the residual Gram, and no copy of either."""
+        """One call holds the predictor Gram and its build temporary, and no other n x n array."""
         n = 1000
         rng = np.random.default_rng(66)
         data = Dataset(rng.normal(size=(n, 4)), rng.normal(size=n))

@@ -143,17 +143,6 @@ def test_gram_matrix_bits_match_pairwise_distance_construction(n, p):
     assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=bw)), want)
 
 
-@pytest.mark.parametrize("p", [1, 4])
-def test_gram_matrix_into_buffer(p):
-    rng = np.random.default_rng(14)
-    pts = rng.normal(size=(33, p))
-    spec = KernelSpec(bandwidth=0.8)
-    buf = np.full((33, 33), np.nan)
-    got = gram_matrix(pts, spec, out=buf)
-    assert got is buf
-    assert np.array_equal(buf, gram_matrix(pts, spec))
-
-
 def test_as_points_validation():
     assert as_points([1.0, 2.0]).shape == (2, 1)
     with pytest.raises(ValueError):

@@ -52,6 +52,15 @@ class TestModelSpec:
         with pytest.raises(ValueError, match=f"^{knob} must be finite"):
             ModelSpec("model1", n=50, **{knob: value})
 
+    @pytest.mark.parametrize("n", [20.7, 20.0, True])
+    def test_non_integer_n_is_named(self, n):
+        """n is a row count: it is never truncated, and a bool is not a count."""
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            ModelSpec("model1", n=n)
+
+    def test_numpy_integer_n_is_accepted(self):
+        assert draw_model(ModelSpec("model1", n=np.int64(20)), np.random.default_rng(0)).errors.shape == (20,)
+
 
 class TestGenerators:
     def test_model1_response_is_mean_plus_errors(self):
@@ -248,6 +257,12 @@ class TestPowerStudy:
             power_study(STUDY_GRID, alpha=0.05, config=cfg, reps=0)
         with pytest.raises(ValueError, match="alpha"):
             power_study(STUDY_GRID, alpha=0.0, config=cfg, reps=5)
+
+    @pytest.mark.parametrize("reps", [2.5, True])
+    def test_non_integer_reps_is_named(self, reps):
+        cfg = BootstrapConfig(replicates=10, seed=0)
+        with pytest.raises(ValueError, match=f"^reps must be an integer, got {reps!r}$"):
+            power_study(STUDY_GRID, alpha=0.05, config=cfg, reps=reps)
 
 
 class TestMonotonicityReport:
