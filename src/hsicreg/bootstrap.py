@@ -14,11 +14,12 @@ as a baseline for the no-regression setting.  The contrast that shows why is
 :func:`hsicreg.simulate.null_distribution_contrast`, beside the power harness.
 
 Kernels and bandwidths are frozen from the original fit; replicates are never
-re-standardized and never re-resolve a median bandwidth.  A replicate gathers
-nothing n x n: it passes its predictor-row indices and refit residuals to the
-tiled statistic (:func:`hsicreg.hsic._tiled_stat`), the same kernel that
-computed the observed statistic, which reads the frozen predictor Gram and
-works in T*n + 2*T^2 floats of per-process scratch.
+re-standardized and never re-resolve a median bandwidth.  A replicate reads the
+:class:`~hsicreg.hsic.PreparedStat` of the original fit and gathers nothing
+n x n: it passes its predictor-row indices, refit residuals and the resolved
+residual bandwidth to the tiled statistic (:func:`hsicreg.hsic._tiled_stat`),
+the same kernel that computed the observed statistic, which reads the frozen
+predictor Gram and allocates T*n + 2*T^2 floats of work memory per call.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import PreparedStat, _product_sum, _tile_scratch, _tiled_stat, prepare_stat
+from .hsic import PreparedStat, _product_sum, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, fit_ols
 
@@ -50,6 +51,12 @@ def check_integer(name: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the level ``alpha`` lies strictly between 0 and 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -106,39 +113,16 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     return idx_x[order], idx_e[order]
 
 
-@dataclass(frozen=True)
-class _NullSnapshot:
-    """Frozen state a null replicate needs: original design rows, Gram, residuals, kernel.
-
-    The predictor Gram is only read: a replicate hands it, with its
-    resampled row indices and refit residuals, to the tiled statistic, which
-    works in ``scratch`` (T*n + 2*T^2 floats, made once per process).
-    """
-
-    design: np.ndarray
-    gram_x: np.ndarray
-    centered_residuals: np.ndarray
-    kernel_e: KernelSpec
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.centered_residuals.shape[0]
-
-    @cached_property
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _tile_scratch(self.n)
-
-
-def _null_draw(snap: _NullSnapshot, replicate: int) -> float:
-    n = snap.n
+def _null_draw(prep: PreparedStat, seed: int, replicate: int) -> float:
+    """n times the statistic of one null replicate, drawn from the frozen fit in ``prep``."""
+    n = prep.observed.n
     for redraw in (0, 1):
-        idx_x, idx_e = replicate_indices(snap.seed, replicate, n, redraw)
+        idx_x, idx_e = replicate_indices(seed, replicate, n, redraw)
         try:
-            refit = fit_ols(snap.design[idx_x], snap.centered_residuals[idx_e])
+            refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
         except SingularDesignError:
             continue
-        return float(n * _tiled_stat(snap.gram_x, idx_x, refit.residuals, snap.kernel_e, snap.scratch).value)
+        return float(n * _tiled_stat(prep.gram_x, idx_x, refit.residuals, prep.kernel_e.bandwidth).value)
     raise BootstrapAbortError(
         f"replicate {replicate}: singular refit on the draw and its one redraw; aborting"
     )
@@ -189,29 +173,6 @@ def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
     return _add_one_pvalue(int(np.count_nonzero(draws >= statistic)), draws.size)
 
 
-def _prepare_null(
-    data: Dataset,
-    design: DesignSpec,
-    kernel_x: KernelSpec,
-    kernel_e: KernelSpec,
-    seed: int,
-    alpha: float,
-    standardize: bool,
-) -> tuple[PreparedStat, _NullSnapshot]:
-    """The observed statistic and the frozen state its null replicates draw from."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    snap = _NullSnapshot(
-        design=prep.design,
-        gram_x=prep.gram_x,
-        centered_residuals=prep.model.centered_residuals,
-        kernel_e=prep.kernel_e,
-        seed=seed,
-    )
-    return prep, snap
-
-
 def run_test(
     data: Dataset,
     design: DesignSpec,
@@ -222,8 +183,10 @@ def run_test(
     standardize: bool = True,
 ) -> TestResult:
     """Observed scaled statistic, its null draws, and the calibrated decision."""
-    prep, snap = _prepare_null(data, design, kernel_x, kernel_e, config.seed, alpha, standardize)
-    draws = np.asarray(parallel_map(partial(_null_draw, snap), range(config.replicates), config.workers))
+    check_alpha(alpha)
+    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
+    draw = partial(_null_draw, prep, config.seed)
+    draws = np.asarray(parallel_map(draw, range(config.replicates), config.workers))
     statistic = prep.observed.scaled
     p_value = pvalue_from_draws(draws, statistic)
     return TestResult(
@@ -262,13 +225,14 @@ def _curtailed_reject(
     :class:`BootstrapAbortError` only if it comes before the decision is
     settled.  Draws run serially in this process; ``config.workers`` is not read.
     """
-    prep, snap = _prepare_null(data, design, kernel_x, kernel_e, config.seed, alpha, True)
+    prep = prepare_stat(data, design, kernel_x, kernel_e)
+    draw = partial(_null_draw, prep, config.seed)
     statistic = prep.observed.scaled
     exceedances = 0
     for replicate in range(config.replicates):
         if _add_one_pvalue(exceedances, config.replicates) > alpha:
             return False
-        exceedances += _null_draw(snap, replicate) >= statistic
+        exceedances += draw(replicate) >= statistic
     return _add_one_pvalue(exceedances, config.replicates) <= alpha
 
 

@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_sim, n_required=True, model_required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     _add_output_flags(p_sim, "csv")
-    p_sim.set_defaults(handler=cmd_simulate, workers=1)
+    p_sim.set_defaults(handler=cmd_simulate)
 
     p_pow = sub.add_parser("power", help="Monte Carlo rejection rates over a parameter grid")
     p_pow.add_argument("--model", choices=_BUILTIN_MODELS, required=True)

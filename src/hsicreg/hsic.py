@@ -17,10 +17,11 @@ the test suite; neither may be redefined in terms of the other.
 The residual bootstrap's statistics — the observed one in
 :func:`prepare_stat` and every null replicate — come from one tiled kernel,
 :func:`_tiled_stat`.  It takes the predictor Gram K, the replicate's row
-indices and the residuals, centers the gathered K through the index counts
-and builds the residual Gram in upper T x T tiles, so no n x n array beyond
-K is formed.  Every sum is plain float64 with no BLAS call, so results depend
-neither on the platform's ``long double`` width nor on BLAS threads.
+indices, the residuals and their resolved bandwidth, centers the gathered K
+through the index counts and builds the residual Gram in upper T x T tiles,
+so no n x n array beyond K is formed.  Every sum is plain float64 with no
+BLAS call, so results depend neither on the platform's ``long double`` width
+nor on BLAS threads.
 """
 from __future__ import annotations
 
@@ -82,31 +83,20 @@ def hsic_vstat(K, L) -> HsicValue:
 _TILE = 128
 
 
-def _tile_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work memory for :func:`_tiled_stat` at sample size ``n``: T*n + 2*T^2 floats."""
-    t = min(_TILE, n)
-    return np.empty((t, n)), np.empty(t * t), np.empty(t * t)
-
-
-def _tiled_stat(
-    K: np.ndarray,
-    idx: np.ndarray,
-    points: np.ndarray,
-    kernel: KernelSpec,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> HsicValue:
-    """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L = gram_matrix(points, kernel), tile by tile.
+def _tiled_stat(K: np.ndarray, idx: np.ndarray, points: np.ndarray, bandwidth: float) -> HsicValue:
+    """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L the Gram of ``points`` at ``bandwidth``, tile by tile.
 
     ``points`` are n 1-D values, ``idx`` n row indices into the read-only
-    Gram ``K``, and ``scratch`` comes from :func:`_tile_scratch`.  Neither
-    n x n matrix is formed:
+    Gram ``K``, and ``bandwidth`` is already resolved, so no call can
+    re-resolve a median rule.  Neither n x n matrix is formed; the kernel
+    allocates its own T*n + 2*T^2 floats of work memory on each call:
 
     * the gathered Gram is centered through index counts: with c the counts
       of ``idx`` and Kc = K c, its row means are u = Kc[idx] / n and its
       grand mean is g = c'Kc / n^2 = sum_i Kc[idx_i] / n^2, so a centered
       tile is K[idx_I, idx_J] - u_I - (u_J - g);
     * each tile of L is built by :func:`~hsicreg.kernels._gram_tile`, so it
-      is bit-equal to the matching block of ``gram_matrix(points, kernel)``;
+      is bit-equal to the matching block of :func:`~hsicreg.kernels.gram_matrix`;
     * both matrices are symmetric, so only tiles with J >= I are formed and
       each off-diagonal tile's sum counts twice.
 
@@ -114,8 +104,9 @@ def _tiled_stat(
     bits cannot depend on BLAS threads or on the worker count.
     """
     n = idx.shape[0]
-    rows, k_flat, l_flat = scratch
-    bandwidth = resolve_bandwidth(kernel, points).bandwidth
+    t = min(_TILE, n)
+    rows, k_flat, l_flat = np.empty((t, n)), np.empty(t * t), np.empty(t * t)
+    column = points.reshape(n, 1)
     counts = np.bincount(idx, minlength=K.shape[0]).astype(float)
     row_sums = np.einsum("ij,j->i", K, counts)[idx]
     # c'Kc = sum_i Kc[idx_i], summed exactly: an error in g is multiplied by
@@ -138,7 +129,7 @@ def _tiled_stat(
             np.take(block, idx[left:right], axis=1, out=k_tile, mode="clip")
             np.subtract(k_tile, row_means[top:bottom, None], out=k_tile)
             np.subtract(k_tile, col_offsets[left:right], out=k_tile)
-            _gram_tile(points[top:bottom], points[left:right], bandwidth, l_tile)
+            _gram_tile(column[top:bottom], column[left:right], bandwidth, l_tile)
             tile_sum = np.einsum("ij,ij->", k_tile, l_tile)
             total += tile_sum if left == top else 2.0 * tile_sum
     return HsicValue(float(total / n**2), n)
@@ -198,7 +189,7 @@ def prepare_stat(
         kernel_x=kx,
         kernel_e=ke,
         gram_x=K,
-        observed=_tiled_stat(K, np.arange(n), model.residuals, ke, _tile_scratch(n)),
+        observed=_tiled_stat(K, np.arange(n), model.residuals, ke.bandwidth),
         scales=scales,
     )
 

@@ -15,6 +15,7 @@ the platform's ``long double`` width.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,40 +91,32 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
 
 
 def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
-    """The n x n Gram matrix of ``points`` under ``spec``.
+    """The n x n Gram matrix of ``points`` under ``spec``: one :func:`_gram_tile` over all pairs.
 
-    Squared distances are summed one coordinate at a time, in coordinate
-    order, exactly as ``pdist(points, "sqeuclidean")`` sums them, so the bits
-    match the pairwise-distance construction; the result is exactly symmetric
-    with an exact unit diagonal.  With a p-column input and p > 1, one n x n
-    temporary is allocated for the per-coordinate terms.
+    The result is exactly symmetric with an exact unit diagonal.
     """
     pts = as_points(points)
-    resolved = resolve_bandwidth(spec, pts)
     n = pts.shape[0]
-    out = np.empty((n, n))
-    first, *rest = pts.T
-    np.subtract.outer(first, first, out=out)
-    np.multiply(out, out, out=out)
-    term = np.empty((n, n)) if rest else None
-    for coord in rest:
-        np.subtract.outer(coord, coord, out=term)
-        np.multiply(term, term, out=term)
-        np.add(out, term, out=out)
-    np.divide(out, -(resolved.bandwidth * resolved.bandwidth), out=out)
-    return np.exp(out, out=out)
+    return _gram_tile(pts, pts, resolve_bandwidth(spec, pts).bandwidth, np.empty((n, n)))
 
 
 def _gram_tile(left: np.ndarray, right: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
-    """One block of the Gram matrix of 1-D points, written into ``out``.
+    """The Gram block between (m, p) row blocks ``left`` and ``right``, written into ``out``.
 
-    The same elementwise operations, in the same order, as the 1-D path of
-    :func:`gram_matrix` (subtract, square, divide by -bandwidth^2, exp), so
-    with ``left = points[I]`` and ``right = points[J]`` the block is
-    bit-equal to ``gram_matrix(points, spec)[I, J]``.
+    Squared distances are summed one coordinate at a time, in coordinate
+    order, exactly as ``pdist(points, "sqeuclidean")`` sums them, so the bits
+    match the pairwise-distance construction, and the tile of
+    ``points[I], points[J]`` is bit-equal to block [I, J] of
+    :func:`gram_matrix`.  With p > 1, one temporary the size of ``out`` is
+    allocated for the per-coordinate terms.
     """
-    np.subtract.outer(left, right, out=out)
+    np.subtract.outer(left[:, 0], right[:, 0], out=out)
     np.multiply(out, out, out=out)
+    term = np.empty_like(out) if left.shape[1] > 1 else None
+    for j in range(1, left.shape[1]):
+        np.subtract.outer(left[:, j], right[:, j], out=term)
+        np.multiply(term, term, out=term)
+        np.add(out, term, out=out)
     np.divide(out, -(bandwidth * bandwidth), out=out)
     return np.exp(out, out=out)
 
@@ -139,9 +132,13 @@ def center_gram(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     K = np.asarray(gram, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    row = K.mean(axis=1)
+    n = K.shape[0]
+    row_sums = K.sum(axis=1)
+    row = row_sums / n
     col = K.mean(axis=0)
-    grand = row.mean()
+    # Summed exactly: an error in the grand mean is multiplied by the sum of
+    # all of the other Gram, which no centering cancels.
+    grand = math.fsum(row_sums.tolist()) / n**2
     out = np.subtract(K, row[:, None], out=out)
     np.subtract(out, col[None, :], out=out)
     return np.add(out, grand, out=out)

@@ -48,9 +48,9 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from ._rng import derive_seed, substream
-from .bootstrap import BootstrapConfig, _curtailed_reject, check_integer, parallel_map
+from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
 from .errors import BootstrapAbortError
-from .hsic import _tile_scratch, _tiled_stat, prepare_stat
+from .hsic import _tiled_stat, prepare_stat
 from .kernels import KernelSpec
 from .linreg import Dataset, DesignSpec
 
@@ -268,8 +268,7 @@ def power_study(
     check_integer("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    check_alpha(alpha)
     tasks = [(c, t) for c in range(len(grid)) for t in range(reps)]
     runner = partial(_power_trial, grid=grid, alpha=alpha, config=config)
     outcomes = parallel_map(runner, tasks, config.workers)
@@ -328,7 +327,7 @@ def _contrast_rep(
     prep = prepare_stat(sim.data, working_design(spec), kernel_x, kernel_e, standardize)
     sd = prep.scales.response_sd if prep.scales is not None else 1.0
     n = prep.observed.n
-    err_arm = n * _tiled_stat(prep.gram_x, np.arange(n), sim.errors / sd, prep.kernel_e, _tile_scratch(n)).value
+    err_arm = n * _tiled_stat(prep.gram_x, np.arange(n), sim.errors / sd, prep.kernel_e.bandwidth).value
     return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
 
 

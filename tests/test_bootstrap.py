@@ -1,5 +1,6 @@
 """Null calibration: resampling streams, the bootstrap loop, and baselines."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from hsicreg import (
     draw_model,
     null_distribution_contrast,
     permutation_pvalue,
+    power_study,
     pvalue_from_draws,
     replicate_indices,
     residual_hsic_stat,
@@ -23,7 +25,7 @@ from hsicreg import (
     study_kernels,
     working_design,
 )
-from hsicreg.bootstrap import _curtailed_reject, _NullSnapshot, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
+from hsicreg.bootstrap import _curtailed_reject, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
 from hsicreg._rng import substream
 from hsicreg.hsic import hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
@@ -96,30 +98,23 @@ def test_null_draws_reproducible_and_worker_invariant():
     assert np.isfinite(one).all() and (one >= -1e-12).all()
 
 
-def _snapshot_for(data, design, seed):
-    prep = prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4))
-    return _NullSnapshot(
-        design=prep.design,
-        gram_x=prep.gram_x,
-        centered_residuals=prep.model.centered_residuals,
-        kernel_e=prep.kernel_e,
-        seed=seed,
-    )
+def _prepared_for(data, design):
+    return prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4))
 
 
 def test_replicate_allocates_no_n_by_n_array():
-    """Replicates work in the snapshot's tile scratch, made by the first one.
+    """Replicates work in the tiled kernel's own T*n + 2*T^2 floats.
 
     numpy reports its data buffers to tracemalloc, so the traced peak over a
-    first replicate (which makes the scratch) and ten warm ones at n = 2000
-    must stay below a fifth of one n x n float64 array.
+    first replicate and ten more at n = 2000 must stay below a fifth of one
+    n x n float64 array.
     """
     n = 2000
-    snap = _snapshot_for(toy_data(72, n=n, d0=4), DesignSpec.main_effects(4), seed=3)
+    prep = _prepared_for(toy_data(72, n=n, d0=4), DesignSpec.main_effects(4))
     tracemalloc.start()
     try:
         for b in range(11):
-            _null_draw(snap, b)
+            _null_draw(prep, 3, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -127,16 +122,16 @@ def test_replicate_allocates_no_n_by_n_array():
 
 
 def test_buffered_replicates_equal_allocating_reference():
-    """Replicates that reuse one snapshot's scratch equal n times the fsum
-    oracle on the gathered predictor Gram and the refit residuals' Gram."""
+    """Replicates drawn from one prepared fit equal n times the fsum oracle
+    on the gathered predictor Gram and the refit residuals' Gram."""
     n = 300
-    snap = _snapshot_for(toy_data(74, n=n, d0=3), DesignSpec.main_effects(3), seed=5)
+    prep = _prepared_for(toy_data(74, n=n, d0=3), DesignSpec.main_effects(3))
     for b in range(6):
         idx_x, idx_e = replicate_indices(5, b, n)
-        refit = fit_ols(snap.design[idx_x], snap.centered_residuals[idx_e])
-        gram_x = snap.gram_x[np.ix_(idx_x, idx_x)]
-        want = n * fsum_hsic(gram_x, gram_matrix(refit.residuals, snap.kernel_e))
-        assert _null_draw(snap, b) == pytest.approx(want, rel=1e-10), b
+        refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
+        gram_x = prep.gram_x[np.ix_(idx_x, idx_x)]
+        want = n * fsum_hsic(gram_x, gram_matrix(refit.residuals, prep.kernel_e))
+        assert _null_draw(prep, 5, b) == pytest.approx(want, rel=1e-10), b
 
 
 def test_null_draw_matches_oracle_on_raw_pairs():
@@ -147,15 +142,15 @@ def test_null_draw_matches_oracle_on_raw_pairs():
         data = toy_data(75, n=n, d0=3)
         design = DesignSpec.main_effects(3)
         beta_hat = prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4)).model.beta_hat
-        snap = _snapshot_for(data, design, seed=8)
+        prep = _prepared_for(data, design)
         for b in range(reps):
             rng = substream(8, b, 0)
             idx_x = rng.integers(0, n, size=n)
             idx_e = rng.integers(0, n, size=n)
-            G = snap.design[idx_x]
-            refit = fit_ols(G, G @ beta_hat + snap.centered_residuals[idx_e])
-            want = n * fsum_hsic(snap.gram_x[np.ix_(idx_x, idx_x)], gram_matrix(refit.residuals, snap.kernel_e))
-            assert _null_draw(snap, b) == pytest.approx(want, rel=1e-10), (n, b)
+            G = prep.design[idx_x]
+            refit = fit_ols(G, G @ beta_hat + prep.model.centered_residuals[idx_e])
+            want = n * fsum_hsic(prep.gram_x[np.ix_(idx_x, idx_x)], gram_matrix(refit.residuals, prep.kernel_e))
+            assert _null_draw(prep, 8, b) == pytest.approx(want, rel=1e-10), (n, b)
 
 
 def test_each_replicate_centers_one_gram(monkeypatch):
@@ -168,13 +163,13 @@ def test_each_replicate_centers_one_gram(monkeypatch):
         calls.append(1)
         return center_gram(*args, **kwargs)
 
-    snap = _snapshot_for(toy_data(76, n=50, d0=2), DesignSpec.main_effects(2), seed=4)
+    prep = _prepared_for(toy_data(76, n=50, d0=2), DesignSpec.main_effects(2))
     rng = np.random.default_rng(85)
     perm = _PermSnapshot(gram_matrix(rng.normal(size=50), KernelSpec()),
                          center_gram(gram_matrix(rng.normal(size=50), KernelSpec())), 4)
     for module in ("hsicreg.hsic", "hsicreg.kernels", "hsicreg.bootstrap"):
         monkeypatch.setattr(f"{module}.center_gram", counted)
-    _null_draw(snap, 0)
+    _null_draw(prep, 4, 0)
     _perm_draw(perm, 0)
     assert calls == []
 
@@ -244,11 +239,20 @@ def test_run_test_rejects_on_strong_dependence():
     assert res.p_value <= 0.05
 
 
-def test_run_test_alpha_validation():
-    data = toy_data(76)
-    with pytest.raises(ValueError):
-        run_test(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(),
-                 BootstrapConfig(replicates=5, seed=0), alpha=1.5)
+@pytest.mark.parametrize("alpha", [0, 1, -0.1, 1.5])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda alpha: run_test(toy_data(76), DesignSpec.main_effects(2), KernelSpec(), KernelSpec(),
+                               BootstrapConfig(replicates=5, seed=0), alpha=alpha),
+        lambda alpha: power_study([ModelSpec("linear1d", n=20)], alpha, BootstrapConfig(replicates=5, seed=0), 2),
+    ],
+    ids=["run_test", "power_study"],
+)
+def test_alpha_outside_the_unit_interval_is_named(entry, alpha):
+    """Every entry point that takes a level rejects one outside (0, 1) with the same message."""
+    with pytest.raises(ValueError, match=f"^alpha must lie strictly between 0 and 1, got {re.escape(str(alpha))}$"):
+        entry(alpha)
 
 
 def test_median_rule_frozen_equals_preresolved():
@@ -288,55 +292,48 @@ def test_pvalue_stability_across_bootstrap_seeds():
 class TestSingularReplicates:
     """Resamples that lose the informative row of a spiky column."""
 
-    def _snapshot(self, seed):
-        # x2 is zero except in row 0; resamples without row 0 are singular
+    def _prepared(self):
+        # x2 is zero except in row 0; resamples without row 0 are singular.
+        # Unstandardized, the design is [1, x, spike] and the Gram is of (x, spike).
         n = 6
         x = np.arange(1.0, n + 1.0)
         spike = np.zeros(n)
         spike[0] = 1.0
-        G = np.column_stack([np.ones(n), x, spike])
         y = np.array([2.0, 1.0, 3.0, 2.5, 4.0, 3.5])
-        fit = fit_ols(G, y)
-        gram_x = gram_matrix(np.column_stack([x, spike]), KernelSpec())
-        return _NullSnapshot(
-            design=G,
-            gram_x=gram_x,
-            centered_residuals=fit.centered_residuals,
-            kernel_e=KernelSpec(),
-            seed=seed,
-        )
+        data = Dataset(np.column_stack([x, spike]), y)
+        return prepare_stat(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), standardize=False)
 
     def _includes_row0(self, seed, b, redraw):
         return 0 in replicate_indices(seed, b, 6, redraw)[0]
 
     def test_redraw_rescues_single_singular_resample(self):
         seed = 0
-        snap = self._snapshot(seed)
+        prep = self._prepared()
         rescued = next(
             b for b in range(500)
             if not self._includes_row0(seed, b, 0) and self._includes_row0(seed, b, 1)
         )
-        value = _null_draw(snap, rescued)
+        value = _null_draw(prep, seed, rescued)
         assert np.isfinite(value)
 
     def test_two_singular_resamples_abort(self):
         seed = 0
-        snap = self._snapshot(seed)
+        prep = self._prepared()
         doomed = next(
             b for b in range(500)
             if not self._includes_row0(seed, b, 0) and not self._includes_row0(seed, b, 1)
         )
         with pytest.raises(BootstrapAbortError, match="redraw"):
-            _null_draw(snap, doomed)
+            _null_draw(prep, seed, doomed)
 
 
 def _recording(monkeypatch, draw=_null_draw):
     """Route every null replicate through ``draw``; returns the replicate indices drawn."""
     drawn = []
 
-    def recorded(snap, replicate):
+    def recorded(prep, seed, replicate):
         drawn.append(replicate)
-        return draw(snap, replicate)
+        return draw(prep, seed, replicate)
 
     monkeypatch.setattr(hsicreg.bootstrap, "_null_draw", recorded)
     return drawn
@@ -392,7 +389,7 @@ class TestCurtailedReject:
         observed = prepare_stat(data, *args[:3]).observed.scaled
         exceedances = max(k + extra, 0)
         hits = set(range(1, 2 * exceedances, 2))  # ties with the statistic count
-        drawn = _recording(monkeypatch, lambda snap, b: observed if b in hits else -1.0)
+        drawn = _recording(monkeypatch, lambda prep, seed, b: observed if b in hits else -1.0)
 
         decision = _curtailed_reject(data, *args, alpha)
         evaluated = list(drawn)
@@ -408,7 +405,7 @@ class TestCurtailedReject:
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19, seed=0))
 
         def draws(settle_at, abort_at):
-            def draw(snap, b):
+            def draw(prep, seed, b):
                 if b == abort_at:
                     raise BootstrapAbortError(f"replicate {b}: singular twice")
                 return np.inf if b == settle_at else -1.0

@@ -317,6 +317,11 @@ class TestExitCodes:
         assert code == 2
         assert f"error: {knob} must be finite" in err
 
+    def test_alpha_outside_the_unit_interval_is_code_2_and_named(self, capsys):
+        code, _, err = run_main(capsys, ["test", "--model", "model1", "--n", "20", "--B", "9", "--alpha", "1.5"])
+        assert code == 2
+        assert "error: alpha must lie strictly between 0 and 1, got 1.5" in err
+
     def test_singular_design_is_code_3(self, capsys, tmp_path):
         rows = [[x, x, 2 * x + 1] for x in (0.2, 0.5, 0.9, 1.4, 1.8, 2.2)]
         path = write_csv(tmp_path / "collinear.csv", ["x1", "x2", "y"], rows)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from hsicreg import (
     DesignSpec,
     HsicValue,
     KernelSpec,
+    ModelSpec,
+    draw_model,
     gram_matrix,
     hsic_sums,
     hsic_vstat,
     residual_hsic_stat,
+    working_design,
 )
-from hsicreg.hsic import _TILE, _tile_scratch, _tiled_stat, prepare_stat
+from hsicreg._rng import substream
+from hsicreg.hsic import _TILE, _tiled_stat, prepare_stat
 from hsicreg.kernels import MEDIAN, _gram_tile
 
 
@@ -54,6 +59,10 @@ def fsum_hsic(K, L):
 
     Each sum is one ``math.fsum`` over the entries (products rounded once, as
     in a per-element loop), so the oracle stays usable at n in the thousands.
+    The three rounded sums still cancel when they are combined: with wide
+    bandwidths (model1, n = 100, bandwidth 4 on both kernels) this oracle errs
+    by up to 1.4e-11 relative, more than the paths it checks, so those are
+    held to :func:`exact_hsic` instead.
     """
     n = K.shape[0]
     pair = math.fsum((K * L).ravel().tolist())
@@ -63,6 +72,19 @@ def fsum_hsic(K, L):
     rows_l = [math.fsum(row) for row in L.tolist()]
     linked = math.fsum(rk * rl for rk, rl in zip(rows_k, rows_l))
     return pair / n**2 + total_k * total_l / n**4 - 2.0 * linked / n**3
+
+
+def exact_hsic(K, L):
+    """The three-sum form in exact rational arithmetic, with no rounding at all.
+
+    Every entry is converted to a ``Fraction`` exactly; usable at n ~ 100.
+    """
+    n = K.shape[0]
+    pair = sum(Fraction(k) * Fraction(l) for k, l in zip(K.ravel().tolist(), L.ravel().tolist()))
+    rows_k = [sum(map(Fraction, row)) for row in K.tolist()]
+    rows_l = [sum(map(Fraction, row)) for row in L.tolist()]
+    linked = sum(rk * rl for rk, rl in zip(rows_k, rows_l))
+    return pair / n**2 + sum(rows_k) * sum(rows_l) / n**4 - 2 * linked / n**3
 
 
 def random_gram_pair(rng, n):
@@ -150,6 +172,20 @@ def test_both_routes_match_fsum_oracle_at_large_n(n):
     assert hsic_sums(K, L).value == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("t", range(10))
+def test_both_paths_match_exact_arithmetic_at_wide_bandwidths(t):
+    """Where the sums cancel most (bandwidth 4 on both kernels, as in the
+    rate-separation check), ``hsic_vstat`` and the tiled kernel behind
+    ``prepare_stat`` stay within rel 4e-12 of exact rational arithmetic."""
+    wide = KernelSpec(bandwidth=4.0)
+    spec = ModelSpec("model1", n=100)
+    prep = prepare_stat(draw_model(spec, substream(0, 0, t)).data, working_design(spec), wide, wide)
+    K, L = prep.gram_x, gram_matrix(prep.model.residuals, prep.kernel_e)
+    want = exact_hsic(K, L)
+    for name, got in (("hsic_vstat", hsic_vstat(K, L).value), ("tiled", prep.observed.value)):
+        assert float(abs(Fraction(got) - want) / abs(want)) <= 4e-12, name
+
+
 def test_hsic_vstat_leaves_inputs_unchanged():
     rng = np.random.default_rng(61)
     K, L = random_gram_pair(rng, 29)
@@ -176,9 +212,8 @@ class TestTiledStat:
         K = gram_matrix(rng.normal(size=(n, 3)), KernelSpec(bandwidth=2.0))
         points = rng.normal(size=n)
         kernel = KernelSpec(bandwidth=1.3)
-        scratch = _tile_scratch(n)
         for name, idx in _index_sets(rng, n).items():
-            got = _tiled_stat(K, idx, points, kernel, scratch)
+            got = _tiled_stat(K, idx, points, kernel.bandwidth)
             want = fsum_hsic(K[np.ix_(idx, idx)], gram_matrix(points, kernel))
             assert got.n == n
             assert got.value == pytest.approx(want, rel=1e-10, abs=1e-15), name
@@ -194,12 +229,12 @@ class TestTiledStat:
 
         def recorded(left, right, bandwidth, out):
             tile = _gram_tile(left, right, bandwidth, out)
-            tiles.append((left.copy(), right.copy(), tile.copy()))
+            tiles.append((left[:, 0].copy(), right[:, 0].copy(), tile.copy()))
             return tile
 
         monkeypatch.setattr("hsicreg.hsic._gram_tile", recorded)
         K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
-        _tiled_stat(K, np.arange(n), points, kernel, _tile_scratch(n))
+        _tiled_stat(K, np.arange(n), points, kernel.bandwidth)
         L = gram_matrix(points, kernel)
         starts = range(0, n, _TILE)
         want = [(top, left) for top in starts for left in starts if left >= top]
@@ -212,13 +247,13 @@ class TestTiledStat:
 
 @pytest.mark.parametrize("n", [2, 31, 400])
 def test_in_place_kernel_equals_hsic_vstat(n):
-    """The replicate's kernel, which writes only its tile scratch, equals the
+    """The replicate's kernel, which writes only its own work memory, equals the
     two-Gram form on the gathered Grams up to rounding."""
     rng = np.random.default_rng(60 + n)
     K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec(bandwidth=1.5))
     points = rng.normal(size=n)
     idx = np.sort(rng.integers(0, n, size=n))
-    got = _tiled_stat(K, idx, points, KernelSpec(), _tile_scratch(n)).value
+    got = _tiled_stat(K, idx, points, KernelSpec().bandwidth).value
     assert got == pytest.approx(hsic_vstat(K[np.ix_(idx, idx)], gram_matrix(points, KernelSpec())).value,
                                 rel=1e-10, abs=1e-15)
 
@@ -230,7 +265,7 @@ def test_in_place_kernel_reads_first_gram_only():
     K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
     points = rng.normal(size=n)
     K0, points0 = K.copy(), points.copy()
-    _tiled_stat(K, np.sort(rng.integers(0, n, size=n)), points, KernelSpec(), _tile_scratch(n))
+    _tiled_stat(K, np.sort(rng.integers(0, n, size=n)), points, KernelSpec().bandwidth)
     assert np.array_equal(K, K0) and np.array_equal(points, points0)
 
 

@@ -186,11 +186,13 @@ class TestCenterGram:
             assert np.array_equal(K, want), f"n={n}"
 
     def test_operation_order(self):
-        """((K - row) - col) + grand, the means taken from the uncentered K."""
+        """((K - row) - col) + grand, the means taken from the uncentered K and
+        the grand mean summed exactly from the row sums."""
         rng = np.random.default_rng(25)
         K = gram_matrix(rng.normal(size=(64, 3)), KernelSpec())
         row = K.mean(axis=1)
-        want = K - row[:, None] - K.mean(axis=0)[None, :] + row.mean()
+        grand = math.fsum(K.sum(axis=1).tolist()) / 64**2
+        want = K - row[:, None] - K.mean(axis=0)[None, :] + grand
         assert np.array_equal(center_gram(K), want)
 
     def test_rejects_nonsquare(self):

@@ -237,7 +237,7 @@ class TestPowerStudy:
     @pytest.mark.parametrize("abort_at, aborts", [(1, 0), (0, 3)], ids=["after-stop", "before-stop"])
     def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch, abort_at, aborts):
         """With B = 19 the first draw at or above the statistic settles a trial (it accepts)."""
-        def draw(snap, replicate):
+        def draw(prep, seed, replicate):
             if replicate == abort_at:
                 raise BootstrapAbortError(f"replicate {replicate}: singular twice")
             return np.inf
