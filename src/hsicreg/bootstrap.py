@@ -36,7 +36,7 @@ from ._rng import substream
 from .errors import BootstrapAbortError, SingularDesignError
 from .hsic import PreparedStat, _product_sum, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, center_gram, gram_matrix
-from .linreg import Dataset, DesignSpec, fit_ols
+from .linreg import Dataset, DesignSpec, _refit_residuals
 
 
 def check_integer(name: str, value) -> None:
@@ -65,7 +65,7 @@ class BootstrapConfig:
 
     replicates: int = 1000
     seed: int = 0
-    workers: int = 1  # 0 = one worker per CPU
+    workers: int = 1  # 0 = one worker per usable CPU
 
     def __post_init__(self) -> None:
         for name in ("replicates", "seed", "workers"):
@@ -119,10 +119,10 @@ def _null_draw(prep: PreparedStat, seed: int, replicate: int) -> float:
     for redraw in (0, 1):
         idx_x, idx_e = replicate_indices(seed, replicate, n, redraw)
         try:
-            refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
+            resid = _refit_residuals(prep.design[idx_x], prep.model.centered_residuals[idx_e])
         except SingularDesignError:
             continue
-        return float(n * _tiled_stat(prep.gram_x, idx_x, refit.residuals, prep.kernel_e.bandwidth).value)
+        return float(n * _tiled_stat(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth).value)
     raise BootstrapAbortError(
         f"replicate {replicate}: singular refit on the draw and its one redraw; aborting"
     )
@@ -142,8 +142,19 @@ def _apply_worker_fn(item):
     return _worker_fn(item)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one.
+
+    ``os.cpu_count()`` counts the host's CPUs, more than a cpuset-limited
+    container may use.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on ``workers`` processes (0 = one per CPU).
+    """``[fn(item) for item in items]`` on ``workers`` processes (0 = one per usable CPU).
 
     Results keep item order, so they never depend on the worker count.  With
     more than one worker, ``fn`` is installed once per worker by the pool's
@@ -154,7 +165,7 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     workers = int(workers)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    workers = workers or os.cpu_count() or 1
+    workers = workers or _usable_cpus()
     if workers == 1:
         return [fn(item) for item in items]
     chunk = max(1, -(-len(items) // (workers * 4)))

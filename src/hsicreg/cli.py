@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--B", type=int, default=1000, help="bootstrap replicates")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--workers", type=int, default=1, help="0 = one per CPU")
+    p_test.add_argument("--workers", type=int, default=1, help="0 = one per usable CPU")
     _add_output_flags(p_test, "json")
     p_test.set_defaults(handler=cmd_test)
 
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--B", type=int, default=500, help="bootstrap replicates per trial")
     p_pow.add_argument("--alpha", type=float, default=0.05)
     p_pow.add_argument("--seed", type=int, default=0)
-    p_pow.add_argument("--workers", type=int, default=1, help="0 = one per CPU")
+    p_pow.add_argument("--workers", type=int, default=1, help="0 = one per usable CPU")
     _add_output_flags(p_pow, "json")
     p_pow.set_defaults(handler=cmd_power)
 
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p_con)
     p_con.add_argument("--reps", type=int, default=500, help="replications per arm")
     p_con.add_argument("--seed", type=int, default=0)
-    p_con.add_argument("--workers", type=int, default=1, help="0 = one per CPU")
+    p_con.add_argument("--workers", type=int, default=1, help="0 = one per usable CPU")
     _add_output_flags(p_con, "json")
     p_con.set_defaults(handler=cmd_contrast)
 

@@ -12,6 +12,9 @@ and sqrt(2)), which needs the data's dimension d that a constructor lacks.
 
 Every accumulation is plain float64 at every n, so results do not depend on
 the platform's ``long double`` width.
+
+The median rule's pairwise distances come from ``scipy.spatial``, which is
+imported on the rule's first use: importing this module loads numpy alone.
 """
 from __future__ import annotations
 
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateDataError
 
@@ -73,6 +75,9 @@ def median_heuristic(points) -> float:
     pts = as_points(points)
     if pts.shape[0] < 2:
         raise DegenerateDataError("median heuristic needs at least two points")
+    # Imported here, not at the top: scipy.spatial is slow to import, and only the median rule needs it.
+    from scipy.spatial.distance import pdist
+
     dists = pdist(pts, metric="euclidean")
     med = float(np.median(dists))
     if med <= 0.0:

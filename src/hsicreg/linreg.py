@@ -5,14 +5,16 @@ coordinates: intercept, single coordinates, pairwise products and squares,
 each evaluated as one vectorized column operation.  Fitting goes through a
 stable orthogonal decomposition (SVD); the scaled normal-equations matrix is
 never inverted explicitly, but its condition number is estimated and
-reported.
+reported.  A singular fit's message names the columns that look dependent,
+from a pivoted QR in ``scipy.linalg``, which is imported only to build that
+message; bootstrap replicates refit through :func:`_refit_residuals`, which
+never builds it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateDataError, SingularDesignError
 
@@ -180,16 +182,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     if not (np.isfinite(G).all() and np.isfinite(y).all()):
         raise ValueError("design or response contains non-finite values")
 
-    beta, _, rank, svals = np.linalg.lstsq(G, y, rcond=None)
-    smin = float(svals[-1]) if svals.size else 0.0
-    smax = float(svals[0]) if svals.size else 0.0
-    cond = np.inf if smin == 0.0 else (smax / smin) ** 2
-    if rank < d or not cond <= MAX_GRAM_CONDITION:
-        raise SingularDesignError(
-            f"design matrix is numerically singular "
-            f"(rank {rank} of {d}, scaled Gram condition {cond:.3e})"
-            + _dependent_columns_note(G, rank)
-        )
+    beta, cond = _solve(G, y, explain=True)
     fitted = G @ beta
     resid = y - fitted
     rmean = float(resid.mean())
@@ -203,8 +196,43 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     )
 
 
+def _refit_residuals(design: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """``fit_ols(design, response).residuals`` for rows of a design ``fit_ols`` accepted.
+
+    The same solve and the same singularity rule, without re-validating
+    rows gathered from validated arrays and without the dependent-column
+    note, which a caller that redraws a singular resample would discard.
+    """
+    beta, _ = _solve(design, response, explain=False)
+    return response - design @ beta
+
+
+def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, float]:
+    """``lstsq`` coefficients and the condition number of (1/n) G'G.
+
+    Raises :class:`SingularDesignError` when G is rank deficient or that
+    condition number exceeds :data:`MAX_GRAM_CONDITION`; with ``explain``
+    the message names the columns that look dependent.
+    """
+    beta, _, rank, svals = np.linalg.lstsq(G, y, rcond=None)
+    smin = float(svals[-1]) if svals.size else 0.0
+    smax = float(svals[0]) if svals.size else 0.0
+    cond = np.inf if smin == 0.0 else (smax / smin) ** 2
+    d = G.shape[1]
+    if rank < d or not cond <= MAX_GRAM_CONDITION:
+        raise SingularDesignError(
+            f"design matrix is numerically singular "
+            f"(rank {rank} of {d}, scaled Gram condition {cond:.3e})"
+            + (_dependent_columns_note(G, rank) if explain else "")
+        )
+    return beta, cond
+
+
 def _dependent_columns_note(G: np.ndarray, rank: int) -> str:
     """Best-effort identification of linearly dependent design columns."""
+    # Imported here, not at the top: scipy.linalg is slow to import, and only a singular fit's message needs it.
+    import scipy.linalg
+
     try:
         _, _, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
     except Exception:  # pragma: no cover - diagnostic only

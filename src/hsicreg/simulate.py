@@ -34,7 +34,9 @@ rates at n in the low hundreds.
 Both Monte Carlo drivers take :class:`ModelSpec` cells and key every draw
 by seed: :func:`power_study` (rejection rates) and
 :func:`null_distribution_contrast` (the null statistic from residuals vs.
-from the true errors).
+from the true errors).  The contrast compares its two arms with
+``scipy.stats.ks_2samp``, imported on the contrast's first call, so the
+power harness never loads ``scipy.stats``.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
@@ -349,7 +350,7 @@ def null_distribution_contrast(
     scaled by the response's sample sd so both arms live in the same units.
     With ``both_arms_use_errors`` the residual arm is replaced by the error
     arm — the distributions then coincide by construction (a self-check).
-    Replications run on ``workers`` processes (0 = one per CPU) without
+    Replications run on ``workers`` processes (0 = one per usable CPU) without
     changing the result.
     """
     for name, value in (("reps", reps), ("seed", seed), ("workers", workers)):
@@ -358,6 +359,9 @@ def null_distribution_contrast(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if spec.n < 3:
         raise ValueError(f"n must be >= 3, got {spec.n}")
+    # Imported here, not at the top: scipy.stats is slow to import, and only the contrast needs it.
+    from scipy.stats import ks_2samp
+
     rep = partial(_contrast_rep, spec, kernel_x, kernel_e, seed, standardize, both_arms_use_errors)
     arms = np.asarray(parallel_map(rep, range(reps), workers), dtype=float)
     resid_stats, error_stats = arms.T

@@ -1,5 +1,6 @@
 """Null calibration: resampling streams, the bootstrap loop, and baselines."""
 
+import os
 import re
 import tracemalloc
 
@@ -121,7 +122,7 @@ def test_replicate_allocates_no_n_by_n_array():
     assert peak < 0.2 * 8 * n * n, f"traced peak {peak} bytes = {peak / (8 * n * n):.3f} n x n arrays"
 
 
-def test_buffered_replicates_equal_allocating_reference():
+def test_replicates_equal_fsum_oracle_on_gathered_grams():
     """Replicates drawn from one prepared fit equal n times the fsum oracle
     on the gathered predictor Gram and the refit residuals' Gram."""
     n = 300
@@ -153,7 +154,7 @@ def test_null_draw_matches_oracle_on_raw_pairs():
             assert _null_draw(prep, 8, b) == pytest.approx(want, rel=1e-10), (n, b)
 
 
-def test_each_replicate_centers_one_gram(monkeypatch):
+def test_no_replicate_calls_center_gram(monkeypatch):
     """A bootstrap replicate centers only the gathered predictor Gram, inside
     its tiles through index counts, so it never calls ``center_gram``; a
     permutation replicate centers none, since its permuted Gram was centered once."""
@@ -193,6 +194,40 @@ def test_parallel_map_ships_fn_once_per_worker():
     items = list(range(40))
     assert parallel_map(_CountedSquare(), items, 2) == [i * i for i in items]
     assert len(_REDUCED) <= 2
+
+
+def test_workers_zero_is_one_per_usable_cpu(monkeypatch):
+    """workers=0 counts the CPUs in the affinity set, not the host's, and
+    falls back to ``os.cpu_count()`` where there is no affinity call."""
+    requested = []
+
+    class RecordingPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            self.fn = initargs[0]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(self.fn, items)
+
+    monkeypatch.setattr(hsicreg.bootstrap, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert parallel_map(abs, [-1, 2, -3], 0) == [1, 2, 3]
+    assert requested == [3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4})
+    assert parallel_map(abs, [-1, 2], 0) == [1, 2]
+    assert requested == [3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallel_map(abs, [-4], 0) == [4]
+    assert requested == [3, 8]
 
 
 def test_null_draws_change_with_seed():

@@ -246,7 +246,7 @@ class TestTiledStat:
 
 
 @pytest.mark.parametrize("n", [2, 31, 400])
-def test_in_place_kernel_equals_hsic_vstat(n):
+def test_tiled_kernel_equals_hsic_vstat(n):
     """The replicate's kernel, which writes only its own work memory, equals the
     two-Gram form on the gathered Grams up to rounding."""
     rng = np.random.default_rng(60 + n)
@@ -258,7 +258,7 @@ def test_in_place_kernel_equals_hsic_vstat(n):
                                 rel=1e-10, abs=1e-15)
 
 
-def test_in_place_kernel_reads_first_gram_only():
+def test_tiled_kernel_writes_neither_input():
     """The replicate's kernel reads the predictor Gram and the points, never writes them."""
     rng = np.random.default_rng(69)
     n = _TILE + 5

@@ -16,7 +16,7 @@ from hsicreg import (
     standardize,
     standardize_dataset,
 )
-from hsicreg.linreg import MAX_GRAM_CONDITION, evaluate_design
+from hsicreg.linreg import MAX_GRAM_CONDITION, _refit_residuals, evaluate_design
 
 
 def test_dataset_coercion_and_names():
@@ -130,6 +130,34 @@ def test_fit_ols_condition_number_of_known_design():
     fit = fit_ols(G, np.array([0.0, 1.0, 3.0]))
     s = np.linalg.svd(G, compute_uv=False)
     assert fit.gram_condition == pytest.approx((s[0] / s[-1]) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 200, 1000])
+def test_refit_residuals_bit_equal_to_fit_ols(n):
+    """The replicate refit gives ``fit_ols``'s residuals bit for bit on resampled rows."""
+    rng = np.random.default_rng(40 + n)
+    G = np.column_stack([np.ones(n), rng.uniform(size=(n, 4))])
+    e = rng.normal(size=n)
+    for _ in range(50):
+        rows, errs = rng.integers(0, n, size=n), rng.integers(0, n, size=n)
+        assert np.array_equal(_refit_residuals(G[rows], e[errs]), fit_ols(G[rows], e[errs]).residuals)
+
+
+def test_refit_residuals_keeps_the_singularity_rule_without_the_note():
+    """Rank deficiency and the condition limit raise as in ``fit_ols``, whose
+    message only adds the note naming the dependent columns."""
+    rng = np.random.default_rng(35)
+    x = rng.normal(size=40)
+    y = rng.normal(size=40)
+    notes = []
+    for G in (np.column_stack([np.ones(40), x, x]), np.column_stack([x, x + 1e-9 * rng.normal(size=40)])):
+        with pytest.raises(SingularDesignError) as refit:
+            _refit_residuals(G, y)
+        with pytest.raises(SingularDesignError) as fit:
+            fit_ols(G, y)
+        assert str(fit.value).startswith(str(refit.value))
+        notes.append(str(fit.value)[len(str(refit.value)):])
+    assert notes == ["; columns [2] look linearly dependent on the others", ""]
 
 
 def test_standardize_columns():
