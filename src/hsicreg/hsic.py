@@ -1,25 +1,14 @@
 """A biased (V-statistic) estimate of the Hilbert-Schmidt independence criterion.
 
-Two algebraically independent routes to the same estimate are kept side by
-side on purpose:
-
-* :func:`hsic_vstat` — the public two-Gram form, n^-2 tr(K HLH) =
-  n^-2 tr(HKH HLH): only the second Gram is centered, through
-  row/column/grand means in O(n^2), and one product-sum,
-  n^-2 sum_ij K_ij (HLH)_ij, finishes it (the permutation baseline centers
-  once, as P HLH P' = H PLP' H, and reuses the product-sum);
-* :func:`hsic_sums` — the explicit three-sum form (pair, full-average, and
-  row-linked averages), kept as a cross-check oracle.
-
-Both are exercised against each other and against literal nested-loop sums in
-the test suite; neither may be redefined in terms of the other.
-
-The residual bootstrap's statistics — the observed one in
-:func:`prepare_stat` and every null replicate — come from one tiled kernel,
-:func:`_tiled_stat`.  It takes the predictor Gram K, the replicate's row
-indices, the residuals and their resolved bandwidth, centers the gathered K
-through the index counts and builds the residual Gram in upper T x T tiles,
-so no n x n array beyond K is formed.  Every sum is plain float64 with no
+One kernel, :func:`_tiled_stat`, computes every statistic the package reports
+except the permutation baseline's: n^-2 tr(HAH HBH) for a gathered, read-only
+Gram A and a second Gram B read in upper T x T tiles from a tile source.  There
+are two sources: Gaussian tiles of 1-D points (:func:`_gaussian_tiles`, for the
+observed statistic of :func:`prepare_stat`, every bootstrap replicate and the
+contrast's error arm) and slices of a precomputed Gram (:func:`hsic_vstat`).
+The explicit three-sum form :func:`hsic_sums` is kept as the oracle: the two
+are tested against each other and against literal nested-loop sums, and
+neither may be defined through the other.  Every sum is plain float64 with no
 BLAS call, so results depend neither on the platform's ``long double`` width
 nor on BLAS threads.
 """
@@ -27,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, _gram_tile, center_gram, gram_matrix, resolve_bandwidth
+from .kernels import KernelSpec, _gram_tile, gram_matrix, resolve_bandwidth
 from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, evaluate_design, fit_ols, standardize_dataset
 
 
@@ -54,27 +44,30 @@ def _check_gram_pair(K, L) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError(f"first Gram matrix is not square: shape {K.shape}")
     if L.shape != K.shape:
         raise ValueError(f"Gram shapes differ: {K.shape} vs {L.shape}")
-    return K, L, K.shape[0]
-
-
-def _product_sum(K: np.ndarray, centered: np.ndarray) -> HsicValue:
-    """n^-2 sum_ij K_ij C_ij for a centered Gram C, written over ``centered``.
-
-    Summed with ``ndarray.sum``, not a BLAS dot, so the bits cannot depend on BLAS threads.
-    """
-    n = K.shape[0]
-    total = np.multiply(K, centered, out=centered).sum()
-    return HsicValue(float(total / n**2), n)
+    n, t = K.shape[0], _TILE
+    if n == 0:
+        raise ValueError("Gram matrices are empty: the statistic needs at least one sample")
+    for name, M in (("first", K), ("second", L)):
+        # The statistic kernel reads upper tiles only, so a Gram must equal its transpose;
+        # compared tile by tile, which reads memory in order and holds no n x n temporary.
+        if not all(np.array_equal(M[i : i + t, j : j + t], M[j : j + t, i : i + t].T)
+                   for i in range(0, n, t) for j in range(i, n, t)):
+            raise ValueError(f"{name} Gram matrix is not exactly symmetric")
+    return K, L, n
 
 
 def hsic_vstat(K, L) -> HsicValue:
-    """The V-statistic from two Gram matrices, centering a copy of ``L`` only.
-
-    Computes n^-2 sum_ij K_ij (HLH)_ij without materializing the centering
-    matrix H; neither input is changed.
-    """
+    """n^-2 sum_ij K_ij (HLH)_ij for two exactly symmetric Grams: the tiled kernel
+    centers ``L`` and reads ``K`` in slices, so neither input is changed or copied whole."""
     K, L, n = _check_gram_pair(K, L)
-    return _product_sum(K, center_gram(L))
+    return _tiled_stat(L, np.arange(n), lambda rows, cols, out: K[rows, cols])
+
+
+def _gaussian_tiles(points: np.ndarray, bandwidth: float) -> Callable:
+    """Gram tiles of n 1-D ``points`` at a resolved ``bandwidth``, each bit-equal to its block
+    of :func:`~hsicreg.kernels.gram_matrix`, since both are built by ``_gram_tile``."""
+    column = points.reshape(-1, 1)
+    return lambda rows, cols, out: _gram_tile(column[rows], column[cols], bandwidth, out)
 
 
 #: Side of the square tiles :func:`_tiled_stat` works in.  Two 128 x 128
@@ -83,20 +76,19 @@ def hsic_vstat(K, L) -> HsicValue:
 _TILE = 128
 
 
-def _tiled_stat(K: np.ndarray, idx: np.ndarray, points: np.ndarray, bandwidth: float) -> HsicValue:
-    """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L the Gram of ``points`` at ``bandwidth``, tile by tile.
+def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:
+    """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L read from ``tile``, tile by tile.
 
-    ``points`` are n 1-D values, ``idx`` n row indices into the read-only
-    Gram ``K``, and ``bandwidth`` is already resolved, so no call can
-    re-resolve a median rule.  Neither n x n matrix is formed; the kernel
-    allocates its own T*n + 2*T^2 floats of work memory on each call:
+    ``idx`` holds n row indices into the read-only, exactly symmetric Gram
+    ``K``; ``tile(rows, cols, out)`` returns block [rows, cols] of the
+    symmetric Gram L, built into the work buffer ``out`` or read from memory
+    the source holds.  Neither n x n matrix is formed; the kernel allocates
+    its own T*n + 2*T^2 floats of work memory on each call:
 
     * the gathered Gram is centered through index counts: with c the counts
       of ``idx`` and Kc = K c, its row means are u = Kc[idx] / n and its
       grand mean is g = c'Kc / n^2 = sum_i Kc[idx_i] / n^2, so a centered
       tile is K[idx_I, idx_J] - u_I - (u_J - g);
-    * each tile of L is built by :func:`~hsicreg.kernels._gram_tile`, so it
-      is bit-equal to the matching block of :func:`~hsicreg.kernels.gram_matrix`;
     * both matrices are symmetric, so only tiles with J >= I are formed and
       each off-diagonal tile's sum counts twice.
 
@@ -106,7 +98,6 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, points: np.ndarray, bandwidth: f
     n = idx.shape[0]
     t = min(_TILE, n)
     rows, k_flat, l_flat = np.empty((t, n)), np.empty(t * t), np.empty(t * t)
-    column = points.reshape(n, 1)
     counts = np.bincount(idx, minlength=K.shape[0]).astype(float)
     row_sums = np.einsum("ij,j->i", K, counts)[idx]
     # c'Kc = sum_i Kc[idx_i], summed exactly: an error in g is multiplied by
@@ -129,7 +120,7 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, points: np.ndarray, bandwidth: f
             np.take(block, idx[left:right], axis=1, out=k_tile, mode="clip")
             np.subtract(k_tile, row_means[top:bottom, None], out=k_tile)
             np.subtract(k_tile, col_offsets[left:right], out=k_tile)
-            _gram_tile(column[top:bottom], column[left:right], bandwidth, l_tile)
+            l_tile = tile(slice(top, bottom), slice(left, right), l_tile)
             tile_sum = np.einsum("ij,ij->", k_tile, l_tile)
             total += tile_sum if left == top else 2.0 * tile_sum
     return HsicValue(float(total / n**2), n)
@@ -189,7 +180,7 @@ def prepare_stat(
         kernel_x=kx,
         kernel_e=ke,
         gram_x=K,
-        observed=_tiled_stat(K, np.arange(n), model.residuals, ke.bandwidth),
+        observed=_tiled_stat(K, np.arange(n), _gaussian_tiles(model.residuals, ke.bandwidth)),
         scales=scales,
     )
 

@@ -116,11 +116,9 @@ class DesignSpec:
         return tuple(t.label for t in self.terms)
 
     @classmethod
-    def main_effects(cls, d0: int, with_intercept: bool = True) -> "DesignSpec":
-        """Intercept (optional) plus every raw coordinate."""
-        terms: list[BasisTerm] = [intercept()] if with_intercept else []
-        terms.extend(coordinate(j) for j in range(d0))
-        return cls(tuple(terms))
+    def main_effects(cls, d0: int) -> "DesignSpec":
+        """Intercept plus every raw coordinate."""
+        return cls((intercept(), *(coordinate(j) for j in range(d0))))
 
 
 def evaluate_design(X: np.ndarray, spec: DesignSpec) -> np.ndarray:

@@ -51,7 +51,7 @@ import numpy as np
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
 from .errors import BootstrapAbortError
-from .hsic import _tiled_stat, prepare_stat
+from .hsic import _gaussian_tiles, _tiled_stat, prepare_stat
 from .kernels import KernelSpec
 from .linreg import Dataset, DesignSpec
 
@@ -328,7 +328,8 @@ def _contrast_rep(
     prep = prepare_stat(sim.data, working_design(spec), kernel_x, kernel_e, standardize)
     sd = prep.scales.response_sd if prep.scales is not None else 1.0
     n = prep.observed.n
-    err_arm = n * _tiled_stat(prep.gram_x, np.arange(n), sim.errors / sd, prep.kernel_e.bandwidth).value
+    error_tiles = _gaussian_tiles(sim.errors / sd, prep.kernel_e.bandwidth)
+    err_arm = n * _tiled_stat(prep.gram_x, np.arange(n), error_tiles).value
     return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
 
 

@@ -168,7 +168,7 @@ def test_no_replicate_calls_center_gram(monkeypatch):
     rng = np.random.default_rng(85)
     perm = _PermSnapshot(gram_matrix(rng.normal(size=50), KernelSpec()),
                          center_gram(gram_matrix(rng.normal(size=50), KernelSpec())), 4)
-    for module in ("hsicreg.hsic", "hsicreg.kernels", "hsicreg.bootstrap"):
+    for module in ("hsicreg.kernels", "hsicreg.bootstrap"):
         monkeypatch.setattr(f"{module}.center_gram", counted)
     _null_draw(prep, 4, 0)
     _perm_draw(perm, 0)
@@ -523,12 +523,24 @@ class TestPermutationBaseline:
         p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=49, seed=6))
         assert p == (1 + exceed) / 50
 
-    def test_identity_permutation_reproduces_observed(self):
+    def test_identity_permutation_reproduces_observed(self, monkeypatch):
+        """The identity draw is the observed statistic the p-value compares
+        against, bit for bit, and the two-Gram form up to rounding."""
+        observed = []
+
+        def recording(draws, statistic):
+            observed.append(statistic)
+            return pvalue_from_draws(draws, statistic)
+
+        monkeypatch.setattr("hsicreg.bootstrap.pvalue_from_draws", recording)
         rng = np.random.default_rng(86)
-        gram_u = gram_matrix(rng.normal(size=(40, 2)), KernelSpec())
-        gram_v = gram_matrix(rng.normal(size=40), KernelSpec())
-        snap = _PermSnapshot(gram_u, center_gram(gram_v), 7)
-        assert _permuted_stat(snap, np.arange(40)) == hsic_vstat(gram_u, gram_v).value
+        u, v = rng.normal(size=(40, 2)), rng.normal(size=40)
+        permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9, seed=7))
+        gram_u = gram_matrix(u, KernelSpec())
+        gram_v = gram_matrix(v, KernelSpec())
+        identity = _permuted_stat(_PermSnapshot(gram_u, center_gram(gram_v), 7), np.arange(40))
+        assert observed == [identity]
+        assert identity == pytest.approx(hsic_vstat(gram_u, gram_v).value, rel=1e-12)
 
     def test_draws_match_permuted_gram_centered_afresh(self, monkeypatch):
         """Gathering the once-centered Gram equals centering each permuted Gram,

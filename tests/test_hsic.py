@@ -21,7 +21,7 @@ from hsicreg import (
     working_design,
 )
 from hsicreg._rng import substream
-from hsicreg.hsic import _TILE, _tiled_stat, prepare_stat
+from hsicreg.hsic import _TILE, _gaussian_tiles, _tiled_stat, prepare_stat
 from hsicreg.kernels import MEDIAN, _gram_tile
 
 
@@ -194,6 +194,32 @@ def test_hsic_vstat_leaves_inputs_unchanged():
     assert np.array_equal(K, K0) and np.array_equal(L, L0)
 
 
+def test_hsic_vstat_holds_no_n_by_n_copy():
+    """The two-Gram form centers L inside the tiled kernel and reads K in
+    slices, so its work memory is a few tiles, not a centered copy of L."""
+    n = 2000
+    K, L = random_gram_pair(np.random.default_rng(70), n)
+    tracemalloc.start()
+    try:
+        hsic_vstat(K, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 8 * n * n, f"traced peak {peak / (8 * n * n):.2f} n x n arrays"
+
+
+@pytest.mark.parametrize(("broken", "form"), [("_tiled_stat", hsic_sums), ("hsic_sums", hsic_vstat)],
+                         ids=["sums-without-kernel", "vstat-without-sums"])
+def test_neither_form_is_defined_through_the_other(monkeypatch, broken, form):
+    """With one form's machinery made to raise, the other form still returns."""
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{broken} was called")
+
+    monkeypatch.setattr(f"hsicreg.hsic.{broken}", fail)
+    K, L = random_gram_pair(np.random.default_rng(71), 12)
+    assert form(K, L).value == pytest.approx(fsum_hsic(K, L), rel=1e-10)
+
+
 def _index_sets(rng, n):
     """Identity, a sorted bootstrap draw with repeats, and one value repeated n times."""
     return {
@@ -213,7 +239,7 @@ class TestTiledStat:
         points = rng.normal(size=n)
         kernel = KernelSpec(bandwidth=1.3)
         for name, idx in _index_sets(rng, n).items():
-            got = _tiled_stat(K, idx, points, kernel.bandwidth)
+            got = _tiled_stat(K, idx, _gaussian_tiles(points, kernel.bandwidth))
             want = fsum_hsic(K[np.ix_(idx, idx)], gram_matrix(points, kernel))
             assert got.n == n
             assert got.value == pytest.approx(want, rel=1e-10, abs=1e-15), name
@@ -234,7 +260,7 @@ class TestTiledStat:
 
         monkeypatch.setattr("hsicreg.hsic._gram_tile", recorded)
         K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
-        _tiled_stat(K, np.arange(n), points, kernel.bandwidth)
+        _tiled_stat(K, np.arange(n), _gaussian_tiles(points, kernel.bandwidth))
         L = gram_matrix(points, kernel)
         starts = range(0, n, _TILE)
         want = [(top, left) for top in starts for left in starts if left >= top]
@@ -246,15 +272,16 @@ class TestTiledStat:
 
 
 @pytest.mark.parametrize("n", [2, 31, 400])
-def test_tiled_kernel_equals_hsic_vstat(n):
+def test_tiled_kernel_matches_fsum_oracle(n):
     """The replicate's kernel, which writes only its own work memory, equals the
-    two-Gram form on the gathered Grams up to rounding."""
+    fsum oracle on the gathered Grams up to rounding (``hsic_vstat`` runs on
+    the same kernel, so it cannot serve as this check's reference)."""
     rng = np.random.default_rng(60 + n)
     K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec(bandwidth=1.5))
     points = rng.normal(size=n)
     idx = np.sort(rng.integers(0, n, size=n))
-    got = _tiled_stat(K, idx, points, KernelSpec().bandwidth).value
-    assert got == pytest.approx(hsic_vstat(K[np.ix_(idx, idx)], gram_matrix(points, KernelSpec())).value,
+    got = _tiled_stat(K, idx, _gaussian_tiles(points, KernelSpec().bandwidth)).value
+    assert got == pytest.approx(fsum_hsic(K[np.ix_(idx, idx)], gram_matrix(points, KernelSpec())),
                                 rel=1e-10, abs=1e-15)
 
 
@@ -265,7 +292,7 @@ def test_tiled_kernel_writes_neither_input():
     K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
     points = rng.normal(size=n)
     K0, points0 = K.copy(), points.copy()
-    _tiled_stat(K, np.sort(rng.integers(0, n, size=n)), points, KernelSpec().bandwidth)
+    _tiled_stat(K, np.sort(rng.integers(0, n, size=n)), _gaussian_tiles(points, KernelSpec().bandwidth))
     assert np.array_equal(K, K0) and np.array_equal(points, points0)
 
 
@@ -286,6 +313,23 @@ def test_shape_mismatch_rejected():
         hsic_vstat(np.ones((3, 3)), np.ones((4, 4)))
     with pytest.raises(ValueError):
         hsic_sums(np.ones((3, 4)), np.ones((3, 4)))
+
+
+def test_empty_and_asymmetric_grams_rejected():
+    """Both forms name the problem: an empty pair has no statistic, and the
+    kernel reads upper tiles only, so each Gram must equal its transpose,
+    inside a diagonal tile and across tiles."""
+    for form in (hsic_vstat, hsic_sums):
+        with pytest.raises(ValueError, match="empty"):
+            form(np.zeros((0, 0)), np.zeros((0, 0)))
+        for n, entry in ((6, (0, 1)), (2 * _TILE + 5, (2 * _TILE + 2, 3))):
+            K, L = random_gram_pair(np.random.default_rng(72), n)
+            skewed = K.copy()
+            skewed[entry] += 1e-9
+            with pytest.raises(ValueError, match="first Gram matrix is not exactly symmetric"):
+                form(skewed, L)
+            with pytest.raises(ValueError, match="second Gram matrix is not exactly symmetric"):
+                form(K, skewed)
 
 
 class TestPreparedStat:

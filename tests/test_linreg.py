@@ -44,7 +44,7 @@ def test_design_labels_and_dimensions():
     assert spec.d == 5
     assert spec.labels == ("1", "x1", "x2", "x1*x2", "x2^2")
     assert DesignSpec.main_effects(3).labels == ("1", "x1", "x2", "x3")
-    assert DesignSpec.main_effects(2, with_intercept=False).labels == ("x1", "x2")
+    assert DesignSpec((coordinate(0), coordinate(1))).labels == ("x1", "x2")
 
 
 def test_evaluate_design_columns():
