@@ -15,7 +15,7 @@ from .bootstrap import (
     replicate_indices,
     run_test,
 )
-from .errors import BootstrapAbortError, DegenerateDataError, SingularDesignError
+from .errors import BootstrapAbortError, DegenerateDataError, MemoryLimitError, SingularDesignError
 from .hsic import HsicValue, hsic_sums, hsic_vstat, residual_hsic_stat
 from .kernels import (
     KernelSpec,
@@ -69,6 +69,7 @@ __all__ = [
     "FittedModel",
     "HsicValue",
     "KernelSpec",
+    "MemoryLimitError",
     "ModelSpec",
     "MonotonicityFlag",
     "PowerCell",

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, run_test
-from .errors import BootstrapAbortError, SingularDesignError
+from .errors import BootstrapAbortError, MemoryLimitError, SingularDesignError
 from .kernels import FIXED, MEDIAN, KernelSpec
 from .linreg import Dataset, DesignSpec, coordinate, intercept, product, square
 from .simulate import (
@@ -469,7 +469,7 @@ def main(argv=None) -> int:
     except (SingularDesignError, BootstrapAbortError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, MemoryLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

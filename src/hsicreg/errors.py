@@ -19,3 +19,11 @@ class DegenerateDataError(ValueError):
 
 class BootstrapAbortError(RuntimeError):
     """A bootstrap replicate produced a singular refit twice in a row."""
+
+
+class MemoryLimitError(MemoryError):
+    """An n x n Gram matrix would not fit in the memory this process may use.
+
+    Raised before the matrix is allocated; the message names n, the bytes
+    needed, the limit and where the limit comes from.
+    """

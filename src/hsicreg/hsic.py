@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, _gram_tile, gram_matrix, resolve_bandwidth
+from .kernels import _TILE, KernelSpec, _gram_tile, gram_matrix, resolve_bandwidth
 from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, evaluate_design, fit_ols, standardize_dataset
 
 
@@ -68,12 +68,6 @@ def _gaussian_tiles(points: np.ndarray, bandwidth: float) -> Callable:
     of :func:`~hsicreg.kernels.gram_matrix`, since both are built by ``_gram_tile``."""
     column = points.reshape(-1, 1)
     return lambda rows, cols, out: _gram_tile(column[rows], column[cols], bandwidth, out)
-
-
-#: Side of the square tiles :func:`_tiled_stat` works in.  Two 128 x 128
-#: float64 tiles take 256 KiB, well inside a core's L2 cache; the sweep
-#: that chose it is recorded in CHANGES.md.
-_TILE = 128
 
 
 def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:

@@ -15,19 +15,34 @@ the platform's ``long double`` width.
 
 The median rule's pairwise distances come from ``scipy.spatial``, which is
 imported on the rule's first use: importing this module loads numpy alone.
+
+A Gram matrix is the one n x n array a test holds.  :func:`gram_matrix`
+builds it in strips of ``_TILE`` rows, so its build temporaries are one strip
+wide, and before it allocates the matrix it checks the bytes against the
+smallest memory limit the process can see (physical memory, the cgroup v2
+``memory.max``, ``RLIMIT_AS``), raising :class:`~hsicreg.errors.MemoryLimitError`
+instead of letting the operating system kill the run.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, MemoryLimitError
 
 #: Bandwidth rules understood by :class:`KernelSpec`.
 FIXED = "fixed"
 MEDIAN = "median"
+
+#: Rows per strip of a Gram build, and the side of the square tiles
+#: :func:`hsicreg.hsic._tiled_stat` works in.  Two 128 x 128 float64 tiles
+#: take 256 KiB, well inside a core's L2 cache; the sweep that chose it is
+#: recorded in CHANGES.md.
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -96,13 +111,74 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
 
 
 def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
-    """The n x n Gram matrix of ``points`` under ``spec``: one :func:`_gram_tile` over all pairs.
+    """The n x n Gram matrix of ``points`` under ``spec``, built by :func:`_gram_tile` in
+    strips of ``_TILE`` rows, so a build temporary (p > 1) is one ``_TILE`` x n strip.
 
-    The result is exactly symmetric with an exact unit diagonal.
+    The result is exactly symmetric with an exact unit diagonal, and bit-equal
+    to one ``_gram_tile`` over all pairs.  Before the matrix is allocated, its
+    bytes are checked against the process's memory limit (see
+    :func:`_check_gram_fits`).
     """
     pts = as_points(points)
     n = pts.shape[0]
-    return _gram_tile(pts, pts, resolve_bandwidth(spec, pts).bandwidth, np.empty((n, n)))
+    bandwidth = resolve_bandwidth(spec, pts).bandwidth
+    _check_gram_fits(n)
+    K = np.empty((n, n))
+    for top in range(0, n, _TILE):
+        strip = slice(top, top + _TILE)
+        _gram_tile(pts[strip], pts, bandwidth, K[strip])
+    return K
+
+
+@lru_cache(maxsize=None)
+def _memory_limit() -> tuple[int, str] | None:
+    """The smallest memory limit this process can see, in bytes, with its source; None if
+    no source can be read.  Read once per process: every later call returns the cached pair.
+
+    The sources are physical memory (``os.sysconf``), the cgroup v2 ``memory.max`` of the
+    process's own cgroup, and a finite ``RLIMIT_AS``; a source that cannot be read is skipped.
+    """
+    limits = []
+    try:
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as lines:
+            group = next(line[3:].strip() for line in lines if line.startswith("0::"))
+        path = f"/sys/fs/cgroup{group.rstrip('/')}/memory.max"
+        with open(path) as f:
+            text = f.read().strip()
+        if text != "max":
+            limits.append((int(text), f"cgroup {path}"))
+    except (StopIteration, ValueError, OSError):
+        pass
+    try:
+        import resource  # not on every platform
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append((soft, "RLIMIT_AS"))
+    except (ImportError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
+
+
+def _check_gram_fits(n: int) -> None:
+    """Raise :class:`MemoryLimitError` unless an n x n Gram and one build strip,
+    8n^2 + 8 * _TILE * n bytes, fit within :func:`_memory_limit`.
+
+    One copy is counted: pool workers started by ``fork`` share the caller's
+    Gram.  Workers started by ``spawn`` or ``forkserver`` each build or receive
+    their own copy and check it on their own.
+    """
+    limit = _memory_limit()
+    needed = 8 * n * n + 8 * _TILE * n
+    if limit is not None and needed > limit[0]:
+        raise MemoryLimitError(
+            f"an n x n Gram matrix at n = {n} needs {needed} bytes ({needed / 2**20:.1f} MiB), "
+            f"more than the {limit[0]} bytes ({limit[0] / 2**20:.1f} MiB) allowed by {limit[1]}"
+        )
 
 
 def _gram_tile(left: np.ndarray, right: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
@@ -112,8 +188,9 @@ def _gram_tile(left: np.ndarray, right: np.ndarray, bandwidth: float, out: np.nd
     order, exactly as ``pdist(points, "sqeuclidean")`` sums them, so the bits
     match the pairwise-distance construction, and the tile of
     ``points[I], points[J]`` is bit-equal to block [I, J] of
-    :func:`gram_matrix`.  With p > 1, one temporary the size of ``out`` is
-    allocated for the per-coordinate terms.
+    :func:`gram_matrix`.  With p > 1, one temporary the shape of ``out`` is
+    allocated for the per-coordinate terms; :func:`gram_matrix` passes strips
+    of ``_TILE`` rows, so there it is one strip, never n x n.
     """
     np.subtract.outer(left[:, 0], right[:, 0], out=out)
     np.multiply(out, out, out=out)

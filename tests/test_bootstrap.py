@@ -564,6 +564,20 @@ class TestPermutationBaseline:
         assert len(draws) == 30
         assert p == pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)
 
+    def test_peak_memory_is_two_grams_and_two_strips(self):
+        """The baseline holds its two Grams; a draw gathers the permuted Gram in
+        T x n strips, not into two more n x n buffers."""
+        n = 2000
+        rng = np.random.default_rng(88)
+        u, v = rng.normal(size=(n, 2)), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=3, seed=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 8 * n * n, f"traced peak {peak / (8 * n * n):.3f} n x n arrays"
+
     def test_sample_size_mismatch(self):
         with pytest.raises(ValueError, match="sample sizes differ"):
             permutation_pvalue(np.zeros(5), np.zeros(6), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9))

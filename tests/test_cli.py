@@ -322,6 +322,14 @@ class TestExitCodes:
         assert code == 2
         assert "error: alpha must lie strictly between 0 and 1, got 1.5" in err
 
+    def test_gram_over_the_memory_limit_is_code_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (1_000_000, "a patched limit"))
+        rows = np.random.default_rng(9).normal(size=(400, 3)).tolist()
+        path = write_csv(tmp_path / "large.csv", ["x1", "x2", "y"], rows)
+        code, _, err = run_main(capsys, ["test", "--input", path, "--response", "y", "--B", "9"])
+        assert code == 2
+        assert "error:" in err and "n = 400" in err
+
     def test_singular_design_is_code_3(self, capsys, tmp_path):
         rows = [[x, x, 2 * x + 1] for x in (0.2, 0.5, 0.9, 1.4, 1.8, 2.2)]
         path = write_csv(tmp_path / "collinear.csv", ["x1", "x2", "y"], rows)

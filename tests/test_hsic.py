@@ -349,8 +349,8 @@ class TestPreparedStat:
         std = standardize_dataset(data)[0]
         np.testing.assert_array_equal(prep.gram_x, gram_matrix(std.predictors, KernelSpec()))
 
-    def test_peak_memory_is_two_grams(self):
-        """One call holds the predictor Gram and its build temporary, and no other n x n array."""
+    def test_peak_memory_is_one_gram(self):
+        """One call holds the predictor Gram, and no other n x n array."""
         n = 1000
         rng = np.random.default_rng(66)
         data = Dataset(rng.normal(size=(n, 4)), rng.normal(size=n))
@@ -361,6 +361,26 @@ class TestPreparedStat:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * 8 * n * n, f"traced peak {peak / (8 * n * n):.2f} n x n arrays"
+
+    @pytest.mark.parametrize("call", ["gram_matrix", "prepare_stat"])
+    def test_peak_memory_is_one_gram_and_a_strip(self, call):
+        """The Gram is built in strips of _TILE rows, so with p = 4 its build
+        temporary is one strip, not a second n x n array."""
+        n = 2000
+        rng = np.random.default_rng(67)
+        X, y = rng.normal(size=(n, 4)), rng.normal(size=n)
+        calls = {
+            "gram_matrix": lambda: gram_matrix(X, KernelSpec(bandwidth=4.0)),
+            "prepare_stat": lambda: prepare_stat(Dataset(X, y), DesignSpec.main_effects(4),
+                                                 KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4)),
+        }
+        tracemalloc.start()
+        try:
+            calls[call]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 8 * n * n, f"traced peak {peak / (8 * n * n):.3f} n x n arrays"
 
     def test_no_standardize_flag(self):
         rng = np.random.default_rng(62)

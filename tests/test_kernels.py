@@ -1,6 +1,8 @@
 """Kernel evaluation, Gram matrices, bandwidth rules, and centering."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ from scipy.spatial.distance import pdist, squareform
 from hsicreg import (
     DegenerateDataError,
     KernelSpec,
+    MemoryLimitError,
     center_gram,
     gram_matrix,
     median_heuristic,
     resolve_bandwidth,
 )
-from hsicreg.kernels import FIXED, MEDIAN, as_points
+from hsicreg.kernels import _TILE, FIXED, MEDIAN, _gram_tile, _memory_limit, as_points
 
 
 def gaussian_kernel(u, v, bandwidth: float) -> float:
@@ -141,6 +144,82 @@ def test_gram_matrix_bits_match_pairwise_distance_construction(n, p):
     bw = 1.7
     want = np.exp(-squareform(pdist(pts, "sqeuclidean")) / bw**2)
     assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=bw)), want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 7])
+@pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 1000])
+def test_strip_build_equals_one_tile_over_all_pairs(n, p):
+    """Strips of _TILE rows give the bits of one _gram_tile over every pair."""
+    pts = np.random.default_rng(17 + n + p).normal(size=(n, p))
+    want = _gram_tile(pts, pts, 1.3, np.empty((n, n)))
+    assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=1.3)), want)
+
+
+def test_strip_build_resolves_the_median_rule_once(monkeypatch):
+    pts = np.random.default_rng(18).normal(size=(300, 3))
+    bandwidth = median_heuristic(pts)
+    calls = []
+
+    def counted(points):
+        calls.append(1)
+        return median_heuristic(points)
+
+    monkeypatch.setattr("hsicreg.kernels.median_heuristic", counted)
+    got = gram_matrix(pts, KernelSpec(rule=MEDIAN))
+    assert calls == [1]
+    assert np.array_equal(got, _gram_tile(pts, pts, bandwidth, np.empty((300, 300))))
+
+
+class TestMemoryGuard:
+    """The limit is always patched down: no test allocates a real huge Gram."""
+
+    @pytest.fixture
+    def one_megabyte(self, monkeypatch):
+        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (1_000_000, "a patched limit"))
+
+    def test_raises_before_the_gram_is_allocated(self, one_megabyte):
+        n = 400
+        pts = np.random.default_rng(19).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryLimitError) as info:
+                gram_matrix(pts, KernelSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, f"traced peak {peak} bytes"
+        needed = 8 * n * n + 8 * _TILE * n
+        message = str(info.value)
+        for part in ("n = 400", f"{needed} bytes", "1000000 bytes", "a patched limit"):
+            assert part in message, message
+        assert isinstance(info.value, MemoryError)
+
+    def test_a_gram_under_the_limit_is_built(self, one_megabyte):
+        assert gram_matrix(np.arange(200.0), KernelSpec()).shape == (200, 200)
+
+    def test_limit_is_the_smallest_readable_source_and_read_once(self, monkeypatch):
+        calls = []
+
+        def sysconf(name):
+            calls.append(name)
+            return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}[name]
+
+        def unreadable(name):
+            raise ValueError(name)
+
+        _memory_limit.cache_clear()
+        try:
+            # No cgroup or address-space limit is below 4 MB in a running interpreter.
+            monkeypatch.setattr(os, "sysconf", sysconf)
+            assert _memory_limit() == (4_096_000, "physical memory")
+            assert _memory_limit() == (4_096_000, "physical memory")
+            assert len(calls) == 2
+            _memory_limit.cache_clear()
+            monkeypatch.setattr(os, "sysconf", unreadable)
+            limit = _memory_limit()
+            assert limit is None or limit[1] != "physical memory"
+        finally:
+            _memory_limit.cache_clear()
 
 
 def test_as_points_validation():
