@@ -19,7 +19,10 @@ re-standardized and never re-resolve a median bandwidth.  A replicate reads the
 n x n: it passes its predictor-row indices, refit residuals and the resolved
 residual bandwidth to the tiled statistic (:func:`hsicreg.hsic._tiled_stat`),
 the same kernel that computed the observed statistic, which reads the frozen
-predictor Gram and allocates T*n + 2*T^2 floats of work memory per call.
+predictor Gram and works in T*n + 2*T^2 floats that its thread reuses from
+one replicate to the next and frees when the test returns.  Its index draw re-keys its thread's one Philox generator
+(:func:`hsicreg._rng.replicate_stream`) to the stream of
+``substream(seed, replicate, redraw)`` instead of building that generator.
 
 The permutation baseline is the one statistic not computed by that kernel.
 A permutation P commutes with centering (P HVH P' = H PVP' H), so it centers
@@ -27,8 +30,9 @@ the second Gram once per call and each draw only gathers it and sums its
 product with the first Gram.  The tiled kernel would re-center the permuted
 Gram in every draw (2.3x the time per draw at n = 100 on a 2-vCPU host); to
 skip that, the shared kernel would have to branch on which caller it serves.
-A draw gathers the permuted Gram in strips of T rows into two T x n buffers,
-so the baseline holds its two n x n Grams and nothing else that size.
+A draw gathers the permuted Gram in strips of T rows into two T x n work
+arrays, reused like the tiled kernel's, so the baseline holds its two n x n
+Grams and nothing else that size.
 """
 from __future__ import annotations
 
@@ -36,14 +40,14 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import replicate_stream, substream
 from .errors import BootstrapAbortError, SingularDesignError
-from .hsic import PreparedStat, _gaussian_tiles, _tiled_stat, prepare_stat
+from .hsic import PreparedStat, _freed_work_memory, _gaussian_tiles, _tiled_stat, _work_arrays, prepare_stat
 from .kernels import _TILE, KernelSpec, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
@@ -109,13 +113,14 @@ class TestResult:
 def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The two independent resampling index vectors for one replicate.
 
-    Both vectors come from the stream keyed by ``(seed, replicate, redraw)``:
+    Both vectors come from the stream :func:`~hsicreg._rng.substream` keys by
+    ``(seed, replicate, redraw)``, drawn from this thread's re-keyed generator:
     first the predictor-row indices, then — independently, never paired — the
     residual indices.  The pairs come back stably sorted by predictor index,
     so a replicate gathers the predictor Gram in memory order; their
     multiset, and so the statistic and its resampling law, is unchanged.
     """
-    rng = substream(seed, replicate, redraw)
+    rng = replicate_stream(seed, replicate, redraw)
     idx_x = rng.integers(0, n, size=n)
     idx_e = rng.integers(0, n, size=n)
     order = np.argsort(idx_x, kind="stable")
@@ -193,6 +198,7 @@ def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
     return _add_one_pvalue(int(np.count_nonzero(draws >= statistic)), draws.size)
 
 
+@_freed_work_memory()
 def run_test(
     data: Dataset,
     design: DesignSpec,
@@ -226,6 +232,7 @@ def run_test(
     )
 
 
+@_freed_work_memory()
 def _curtailed_reject(
     data: Dataset,
     design: DesignSpec,
@@ -236,24 +243,31 @@ def _curtailed_reject(
 ) -> bool:
     """``run_test(...).reject``, drawing replicates 0, 1, ... only until it is settled.
 
-    With X draws >= the statistic so far, the p-value is at least
+    With X draws >= the statistic among the first b, the p-value is at least
     (1 + X) / (B + 1); once that exceeds ``alpha`` no later draw can bring it
-    back, so the test accepts.  A rejection needs all B draws.  Replicate b
-    is the same draw as in :func:`run_test` (its stream is keyed by the seed
-    and b alone), so the decision is the same too (exact curtailed sampling,
-    Besag & Clifford 1991).  A twice-singular refit raises
-    :class:`BootstrapAbortError` only if it comes before the decision is
-    settled.  Draws run serially in this process; ``config.workers`` is not read.
+    back, so the test accepts.  It is at most (1 + X + B - b) / (B + 1), the
+    value if every draw left exceeds; once that is at most ``alpha`` the test
+    rejects.  Both bounds divide by the same B + 1 as the final p-value, and
+    float division by one positive number is monotone, so neither stop can
+    disagree with it.  Replicate b is the same draw as in :func:`run_test`
+    (its stream is keyed by the seed and b alone), so the decision is the
+    same too (exact curtailed sampling, Besag & Clifford 1991).  A
+    twice-singular refit raises :class:`BootstrapAbortError` only if it comes
+    before the decision is settled.  Draws run serially in this process;
+    ``config.workers`` is not read.
     """
     prep = prepare_stat(data, design, kernel_x, kernel_e)
     draw = partial(_null_draw, prep, config.seed)
     statistic = prep.observed.scaled
+    B = config.replicates
     exceedances = 0
-    for replicate in range(config.replicates):
-        if _add_one_pvalue(exceedances, config.replicates) > alpha:
+    for replicate in range(B):
+        if _add_one_pvalue(exceedances, B) > alpha:
             return False
+        if _add_one_pvalue(exceedances + (B - replicate), B) <= alpha:
+            return True
         exceedances += draw(replicate) >= statistic
-    return _add_one_pvalue(exceedances, config.replicates) <= alpha
+    return _add_one_pvalue(exceedances, B) <= alpha
 
 
 @dataclass(frozen=True)
@@ -261,7 +275,7 @@ class _PermSnapshot:
     """The first Gram and the second one centered once: P HLH P' = H PLP' H.
 
     A permutation gathers the centered Gram strip by strip, through the first
-    of two T x n ``buffers`` into the second; both are made once per process.
+    of two T x n work arrays into the second.
     """
 
     gram_u: np.ndarray
@@ -272,16 +286,12 @@ class _PermSnapshot:
     def n(self) -> int:
         return self.gram_u.shape[0]
 
-    @cached_property
-    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        shape = (min(_TILE, self.n), self.n)
-        return np.empty(shape), np.empty(shape)
-
 
 def _permuted_stat(snap: _PermSnapshot, perm: np.ndarray) -> float:
     """n^-2 sum_ij U_ij (P HVH P')_ij, summed strip by strip by ``ndarray.sum`` (not a BLAS
     dot, so no thread dependence)."""
-    rows, permuted = snap.buffers
+    shape = (min(_TILE, snap.n), snap.n)
+    rows, permuted = _work_arrays(shape, shape)
     total = 0.0
     for top in range(0, snap.n, _TILE):
         part = perm[top : top + _TILE]
@@ -297,6 +307,7 @@ def _perm_draw(snap: _PermSnapshot, replicate: int) -> float:
     return _permuted_stat(snap, substream(snap.seed, replicate).permutation(snap.n))
 
 
+@_freed_work_memory()
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
     """Permutation p-value for raw i.i.d. pairs (u_i, v_i).
 
@@ -309,7 +320,6 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
         raise ValueError(f"sample sizes differ: {gram_u.shape[0]} vs {gram_v.shape[0]}")
     snap = _PermSnapshot(gram_u, center_gram(gram_v, out=gram_v), config.seed)
     draws = parallel_map(partial(_perm_draw, snap), range(int(config.replicates)), config.workers)
-    # The identity permutation gives the observed statistic; computed after the draws, so
-    # pool workers never inherit or unpickle the snapshot's strip buffers.
+    # The identity permutation gives the observed statistic.
     return pvalue_from_draws(draws, _permuted_stat(snap, np.arange(snap.n)))
 

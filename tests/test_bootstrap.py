@@ -2,6 +2,8 @@
 
 import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,8 +29,8 @@ from hsicreg import (
     working_design,
 )
 from hsicreg.bootstrap import _curtailed_reject, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
-from hsicreg._rng import substream
-from hsicreg.hsic import hsic_sums, hsic_vstat, prepare_stat
+from hsicreg._rng import _KEY_BLOCK, _philox_keys, replicate_stream, substream
+from hsicreg.hsic import _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
 from hsicreg.linreg import fit_ols
 from test_hsic import fsum_hsic
@@ -69,6 +71,56 @@ class TestReplicateIndices:
             raw_x = rng.integers(0, 200, size=200)
             raw_e = rng.integers(0, 200, size=200)
             assert sorted(zip(idx_x.tolist(), idx_e.tolist())) == sorted(zip(raw_x.tolist(), raw_e.tolist()))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**62 + 12345, 2**63 - 1, 2**70])
+    def test_equal_to_the_substream_reference(self, seed):
+        """The re-keyed per-thread generator draws what a fresh ``substream`` draws, on both
+        sides of every key-block boundary and past one 32-bit word of replicate index."""
+        block = _KEY_BLOCK
+        replicates = [0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2**32 - 1, 2**32, 2**32 + block]
+        for redraw in (0, 1):
+            for b in replicates:
+                rng = substream(seed, b, redraw)
+                raw_x = rng.integers(0, 97, size=97)
+                raw_e = rng.integers(0, 97, size=97)
+                order = np.argsort(raw_x, kind="stable")
+                idx_x, idx_e = replicate_indices(seed, b, 97, redraw)
+                np.testing.assert_array_equal(idx_x, raw_x[order])
+                np.testing.assert_array_equal(idx_e, raw_e[order])
+
+
+class TestReplicateStream:
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, 2**70, 2**200 + 7])
+    @pytest.mark.parametrize("redraw", [0, 1, 2**32 - 1])
+    def test_key_blocks_equal_seed_sequence(self, seed, redraw):
+        for first in (0, _KEY_BLOCK, 2**32 - _KEY_BLOCK):
+            expected = [substream(seed, first + i, redraw).bit_generator.state["state"]["key"]
+                        for i in range(_KEY_BLOCK)]
+            np.testing.assert_array_equal(_philox_keys(seed, first, _KEY_BLOCK, redraw), expected)
+
+    @pytest.mark.parametrize("key", [(3, 5, 0), (3, 70, 1), (2**70, 2**32 - 1, 0), (3, 2**32, 0), (3, 5, 2**32)])
+    def test_state_is_a_fresh_substream_state(self, key):
+        """Counter, key and the buffered words all restart, whatever was drawn before."""
+        replicate_stream(*key).integers(0, 2**40, size=3)
+        rng = replicate_stream(key[0] + 1, 0)
+        rng.random(5)  # move the counter and leave words in Philox's output buffer
+        rng.integers(0, 7)  # leave a buffered 32-bit half-word
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert repr(replicate_stream(*key).bit_generator.state) == repr(substream(*key).bit_generator.state)
+
+    def test_one_generator_per_thread(self):
+        ours = replicate_stream(0, 0)
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(replicate_stream(0, 0)))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and len(theirs) == 1
+        assert theirs[0] is not ours and replicate_stream(5, 9) is ours
+
+    def test_negative_keys_are_rejected(self):
+        for key in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                replicate_stream(*key)
 
 
 class TestPvalueFromDraws:
@@ -120,6 +172,74 @@ def test_replicate_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.2 * 8 * n * n, f"traced peak {peak} bytes = {peak / (8 * n * n):.3f} n x n arrays"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts as Linux reports them")
+def test_replicates_reuse_their_work_memory():
+    """A replicate at n = 200 asks for 128 x 200 and two 128 x 128 float arrays, each at
+    least 128 KiB.  Made afresh, glibc hands them back to the kernel on free and the next
+    replicate faults them in again, about a hundred pages; reused, none."""
+    import resource
+
+    n = 200
+    prep = _prepared_for(toy_data(73, n=n, d0=4), DesignSpec.main_effects(4))
+    for b in range(10):
+        _null_draw(prep, 5, b)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for b in range(10, 210):
+        _null_draw(prep, 5, b)
+    per_replicate = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200
+    assert per_replicate < 2, f"{per_replicate:.1f} minor faults per replicate"
+
+
+@pytest.mark.parametrize("entry", ["run_test", "curtailed", "permutation", "prepare_stat", "hsic_vstat", "contrast"])
+def test_a_public_call_frees_its_work_memory(entry):
+    """Replicates reuse one set of work arrays; the call they serve frees it when it returns."""
+    data = toy_data(74, n=200, d0=4)
+    args = (data, DesignSpec.main_effects(4), KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4))
+    config = BootstrapConfig(replicates=20)
+    calls = {
+        "run_test": lambda: run_test(*args, config),
+        "curtailed": lambda: _curtailed_reject(*args, config, 0.05),
+        "permutation": lambda: permutation_pvalue(data.predictors, data.response, KernelSpec(), KernelSpec(), config),
+        "prepare_stat": lambda: prepare_stat(*args),
+        "hsic_vstat": lambda: hsic_vstat(*(gram_matrix(x, KernelSpec()) for x in (data.predictors, data.response))),
+        "contrast": lambda: null_distribution_contrast(ModelSpec("linear1d", n=150), *study_kernels(1), 25, seed=0),
+    }
+    _null_draw(prepare_stat(*args), 0, 0)
+    assert _work_memory.arrays
+    calls[entry]()
+    assert _work_memory.arrays == ()
+
+
+def test_concurrent_tests_in_threads_equal_serial_runs():
+    """Work memory and generators are per thread, so two run_test calls at different n
+    running at once draw what each draws alone."""
+    cases = []
+    for n, seed in ((200, 11), (150, 12)):
+        data = toy_data(seed, n=n, d0=4)
+        cases.append((data, DesignSpec.main_effects(4), KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4),
+                      BootstrapConfig(replicates=150, seed=seed)))
+    serial = [run_test(*case).null_draws for case in cases]
+    results = [None, None]
+
+    def run(i):
+        results[i] = run_test(*cases[i]).null_draws
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, expected in zip(results, serial):
+        assert got is not None
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_replicates_equal_fsum_oracle_on_gathered_grams():
@@ -379,12 +499,23 @@ def _largest_accepted_count(replicates, alpha):
     return max((x for x in range(replicates + 1) if (1 + x) / (replicates + 1) <= alpha), default=-1)
 
 
+def _settle_point(hits, replicates, k):
+    """Draws a curtailed trial needs: the first b after which more than k of them hit
+    (accept), or at most k hit even if every draw left would (reject)."""
+    for b in range(replicates + 1):
+        x = sum(hits[:b])
+        if x > k or x + (replicates - b) <= k:
+            return b
+    return replicates
+
+
 class TestCurtailedReject:
     """The decide-only path power trials use: run_test's decision from a prefix of its draws."""
 
     def test_decision_and_prefix_match_run_test(self, monkeypatch):
         drawn = _recording(monkeypatch)
         trials = 0
+        stopped_early = {False: 0, True: 0}
         for B, per_cell in ((19, 28), (199, 14), (500, 8)):
             k = _largest_accepted_count(B, 0.05)
             decisions = set()
@@ -400,15 +531,16 @@ class TestCurtailedReject:
                     full = run_test(data, *args, config, 0.05)
                     assert decision == full.reject
                     assert evaluated == list(range(len(evaluated)))
-                    hits = full.null_draws[: len(evaluated)] >= full.statistic
-                    if decision:
-                        assert len(evaluated) == B
-                    else:
-                        assert hits.sum() == k + 1 and hits[-1]
+                    hits = (full.null_draws >= full.statistic).tolist()
+                    assert len(evaluated) == _settle_point(hits, B, k)
+                    if not decision:
+                        assert sum(hits[: len(evaluated)]) == k + 1 and hits[len(evaluated) - 1]
+                    stopped_early[decision] += len(evaluated) < B
                     decisions.add(decision)
                     trials += 1
             assert decisions == {False, True}
         assert trials >= 200
+        assert min(stopped_early.values()) > 0, stopped_early
 
     @pytest.mark.parametrize(
         "alpha, B, k",
@@ -417,7 +549,8 @@ class TestCurtailedReject:
     )
     @pytest.mark.parametrize("extra", [0, 1], ids=["X=k", "X=k+1"])
     def test_boundary(self, monkeypatch, alpha, B, k, extra):
-        """X = k draws at the statistic still reject; X = k + 1 accept, right after the last one."""
+        """X = k draws at the statistic still reject, once the draws left could add no more
+        than k - X; X = k + 1 accept, right after the last one."""
         assert k == _largest_accepted_count(B, alpha)
         data = toy_data(81)
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=B, seed=0))
@@ -433,7 +566,7 @@ class TestCurtailedReject:
         assert drawn == list(range(B))
         assert full.p_value == (1 + exceedances) / (B + 1)
         assert decision == full.reject == (exceedances <= k)
-        assert evaluated == list(range(B if decision else max(hits, default=-1) + 1))
+        assert evaluated == list(range(_settle_point([b in hits for b in range(B)], B, k)))
 
     def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch):
         data = toy_data(82)
@@ -452,6 +585,15 @@ class TestCurtailedReject:
         with pytest.raises(BootstrapAbortError):
             run_test(data, *args, 0.05)
         _recording(monkeypatch, draws(settle_at=3, abort_at=2))
+        with pytest.raises(BootstrapAbortError):
+            _curtailed_reject(data, *args, 0.05)
+        # Rejection side: with B = 199 (k = 9) and no draw at the statistic, the
+        # decision is settled after 190 draws.
+        args = args[:3] + (BootstrapConfig(replicates=199, seed=0),)
+        drawn = _recording(monkeypatch, draws(settle_at=None, abort_at=190))
+        assert _curtailed_reject(data, *args, 0.05)
+        assert drawn == list(range(190))
+        _recording(monkeypatch, draws(settle_at=None, abort_at=189))
         with pytest.raises(BootstrapAbortError):
             _curtailed_reject(data, *args, 0.05)
 
