@@ -6,10 +6,11 @@ depends on how many other streams exist or on the order they are consumed in,
 so replicate-level work can be sharded across any number of workers without
 changing a single drawn value.
 
-Bootstrap replicates draw the same streams without building a generator each:
-`replicate_stream` re-keys one Philox per thread, with keys computed a block of
-replicates at a time by a vectorized port of NumPy's ``SeedSequence`` hash.
-The tests check those keys against `substream`.
+Per-draw streams (bootstrap replicates and permutations) are the same streams,
+drawn without building a generator each: `replicate_stream` re-keys one Philox
+per thread, with keys computed a block of replicates at a time by a vectorized
+port of NumPy's ``SeedSequence`` hash.  The tests check those keys against
+`substream`.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 #: Replicates whose Philox keys are computed together; a power of two, so no
-#: block straddles 2**32, where a replicate's spawn key grows a second word.
+#: block straddles a multiple of 2**32, and its replicates differ in their first word only.
 _KEY_BLOCK = 64
 
 
@@ -78,20 +79,25 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _philox_keys(seed: int, first: int, count: int, redraw: int) -> np.ndarray:
-    """``count`` x 2 Philox keys of ``substream(seed, b, redraw)`` for b = first, first + 1, ...
+def _philox_keys(seed: int, first: int, count: int, tail: tuple[int, ...]) -> np.ndarray:
+    """``count`` x 2 Philox keys of ``substream(seed, b, *tail)`` for b = first, first + 1, ...
 
     ``SeedSequence`` hashes its entropy words (the seed's, zero-padded to the
     pool size, then the spawn key's) into a pool of four words and hashes the
     pool once more into the key.  Its hash constant advances the same way
     whatever the data, so the pool the seed builds is computed once, in
-    Python integers, and only the replicate's word is an array: one row of
-    pool words per replicate.  Needs ``first + count <= 2**32`` and
-    ``redraw < 2**32``, one word each.
+    Python integers, and only the replicate's first word is an array: one row
+    of pool words per replicate.  Its words above 32 bits, and the tail's, are
+    the same for every row.  Needs a block that crosses no multiple of 2**32:
+    ``first % 2**32 + count <= 2**32``.
     """
     entropy = _words(seed)
     entropy += [0] * (_POOL - len(entropy))
-    entropy += [np.arange(first, first + count, dtype=np.uint64)[:, None], redraw]
+    low, high = first & _MASK, first >> 32
+    entropy.append(np.arange(low, low + count, dtype=np.uint64)[:, None])
+    if high:
+        entropy += _words(high)
+    entropy += [word for key in tail for word in _words(key)]
     # One constant per hash of the entropy: 4 to fill the pool, 12 to mix it, 4 per word after.
     c = _chain(_INIT_A, _MULT_A, _POOL * len(entropy))
     pool = [_hash(entropy[i], c[i], c[i + 1]) for i in range(_POOL)]
@@ -115,35 +121,31 @@ class _Streams(threading.local):
     """One thread's generator and the Philox keys of its current block of replicates."""
 
     generator: np.random.Generator | None = None
-    block: tuple[int, int, int] | None = None  # (seed, redraw, first replicate)
+    block: tuple | None = None  # (seed, first replicate, tail)
     keys: np.ndarray | None = None
 
 
 _streams = _Streams()
 
 
-def replicate_stream(seed: int, replicate: int, redraw: int = 0) -> np.random.Generator:
-    """The stream of ``substream(seed, replicate, redraw)``, drawn from this thread's one generator.
+def replicate_stream(seed: int, replicate: int, *tail: int) -> np.random.Generator:
+    """The stream of ``substream(seed, replicate, *tail)``, drawn from this thread's one generator.
 
     The generator is re-keyed in place on every call, so it is valid only until
-    this thread's next call.  A replicate or redraw beyond one 32-bit word
-    takes its key from ``SeedSequence`` directly.
+    this thread's next call.  A bootstrap replicate passes its redraw as the
+    tail; a permutation passes none.
     """
-    seed, replicate, redraw = _checked(seed), _checked(replicate), _checked(redraw)
-    if replicate > _MASK or redraw > _MASK:
-        key = _seed_sequence(seed, replicate, redraw).generate_state(2, np.uint64)
-    else:
-        first = replicate - replicate % _KEY_BLOCK
-        if _streams.block != (seed, redraw, first):
-            _streams.keys = _philox_keys(seed, first, _KEY_BLOCK, redraw)
-            _streams.block = (seed, redraw, first)
-        key = _streams.keys[replicate - first]
+    seed, replicate, tail = _checked(seed), _checked(replicate), tuple(map(_checked, tail))
+    first = replicate - replicate % _KEY_BLOCK
+    if _streams.block != (seed, first, tail):
+        _streams.keys = _philox_keys(seed, first, _KEY_BLOCK, tail)
+        _streams.block = (seed, first, tail)
     if _streams.generator is None:
         _streams.generator = np.random.Generator(np.random.Philox(0))
     # The state a fresh Philox(SeedSequence) starts in: counter 0, empty buffers.
     _streams.generator.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key.tolist()},
+        "state": {"counter": (0, 0, 0, 0), "key": _streams.keys[replicate - first].tolist()},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,

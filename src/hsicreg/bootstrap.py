@@ -20,9 +20,11 @@ n x n: it passes its predictor-row indices, refit residuals and the resolved
 residual bandwidth to the tiled statistic (:func:`hsicreg.hsic._tiled_stat`),
 the same kernel that computed the observed statistic, which reads the frozen
 predictor Gram and works in T*n + 2*T^2 floats that its thread reuses from
-one replicate to the next and frees when the test returns.  Its index draw re-keys its thread's one Philox generator
-(:func:`hsicreg._rng.replicate_stream`) to the stream of
-``substream(seed, replicate, redraw)`` instead of building that generator.
+one replicate to the next and frees when the test returns.  Every draw, a
+replicate's or a permutation's, re-keys its thread's one Philox generator
+(:func:`hsicreg._rng.replicate_stream`) to its stream instead of building a
+generator: ``substream(seed, replicate, redraw)`` for a replicate,
+``substream(seed, replicate)`` for a permutation.
 
 The permutation baseline is the one statistic not computed by that kernel.
 A permutation P commutes with centering (P HVH P' = H PVP' H), so it centers
@@ -45,10 +47,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rng import replicate_stream, substream
+from ._rng import replicate_stream
 from .errors import BootstrapAbortError, SingularDesignError
 from .hsic import PreparedStat, _freed_work_memory, _gaussian_tiles, _tiled_stat, _work_arrays, prepare_stat
-from .kernels import _TILE, KernelSpec, center_gram, gram_matrix
+from .kernels import _TILE, KernelSpec, as_points, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
 
@@ -270,41 +272,30 @@ def _curtailed_reject(
     return _add_one_pvalue(exceedances, B) <= alpha
 
 
-@dataclass(frozen=True)
-class _PermSnapshot:
-    """The first Gram and the second one centered once: P HLH P' = H PLP' H.
+def _permuted_stat(gram_u: np.ndarray, centered_v: np.ndarray, perm: np.ndarray) -> float:
+    """n^-2 sum_ij U_ij (P HVH P')_ij, given ``centered_v`` = HVH (P HVH P' = H PVP' H).
 
-    A permutation gathers the centered Gram strip by strip, through the first
-    of two T x n work arrays into the second.
+    The centered Gram is gathered strip by strip, through the first of two
+    T x n work arrays into the second, and summed by ``ndarray.sum`` (not a
+    BLAS dot, so no thread dependence).
     """
-
-    gram_u: np.ndarray
-    centered_v: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.gram_u.shape[0]
-
-
-def _permuted_stat(snap: _PermSnapshot, perm: np.ndarray) -> float:
-    """n^-2 sum_ij U_ij (P HVH P')_ij, summed strip by strip by ``ndarray.sum`` (not a BLAS
-    dot, so no thread dependence)."""
-    shape = (min(_TILE, snap.n), snap.n)
+    n = gram_u.shape[0]
+    shape = (min(_TILE, n), n)
     rows, permuted = _work_arrays(shape, shape)
     total = 0.0
-    for top in range(0, snap.n, _TILE):
+    for top in range(0, n, _TILE):
         part = perm[top : top + _TILE]
         strip, product = rows[: len(part)], permuted[: len(part)]
         # mode="clip" keeps take from allocating a hidden output buffer; perm is in range.
-        np.take(snap.centered_v, part, axis=0, out=strip, mode="clip")
+        np.take(centered_v, part, axis=0, out=strip, mode="clip")
         np.take(strip, perm, axis=1, out=product, mode="clip")
-        total += np.multiply(snap.gram_u[top : top + _TILE], product, out=product).sum()
-    return float(total / snap.n**2)
+        total += np.multiply(gram_u[top : top + _TILE], product, out=product).sum()
+    return float(total / n**2)
 
 
-def _perm_draw(snap: _PermSnapshot, replicate: int) -> float:
-    return _permuted_stat(snap, substream(snap.seed, replicate).permutation(snap.n))
+def _perm_draw(gram_u: np.ndarray, centered_v: np.ndarray, seed: int, replicate: int) -> float:
+    perm = replicate_stream(seed, replicate).permutation(gram_u.shape[0])
+    return _permuted_stat(gram_u, centered_v, perm)
 
 
 @_freed_work_memory()
@@ -314,12 +305,13 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     Valid when the pairs themselves are i.i.d. (no fitted model in the loop);
     not a substitute for the residual bootstrap.
     """
+    u, v = as_points(u), as_points(v)
+    if len(u) != len(v):
+        raise ValueError(f"sample sizes differ: {len(u)} vs {len(v)}")
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
-    if gram_u.shape != gram_v.shape:
-        raise ValueError(f"sample sizes differ: {gram_u.shape[0]} vs {gram_v.shape[0]}")
-    snap = _PermSnapshot(gram_u, center_gram(gram_v, out=gram_v), config.seed)
-    draws = parallel_map(partial(_perm_draw, snap), range(int(config.replicates)), config.workers)
+    centered_v = center_gram(gram_v, out=gram_v)
+    draw = partial(_perm_draw, gram_u, centered_v, config.seed)
+    draws = parallel_map(draw, range(int(config.replicates)), config.workers)
     # The identity permutation gives the observed statistic.
-    return pvalue_from_draws(draws, _permuted_stat(snap, np.arange(snap.n)))
-
+    return pvalue_from_draws(draws, _permuted_stat(gram_u, centered_v, np.arange(len(u))))

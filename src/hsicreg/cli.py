@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -305,20 +306,7 @@ def cmd_power(args) -> int:
     grid = [_model_spec(args, n, a, lam) for n in args.n for a in args.a for lam in args.lam]
     config = BootstrapConfig(replicates=args.B, seed=args.seed, workers=args.workers)
     table = power_study(grid, args.alpha, config, args.reps)
-    cells = [
-        {
-            "model": c.model,
-            "n": c.n,
-            "a": c.a,
-            "lambda": c.lam,
-            "reps": c.reps,
-            "rejections": c.rejections,
-            "aborts": c.aborts,
-            "rate": c.rate,
-            "se": c.se,
-        }
-        for c in table.cells
-    ]
+    cells = [{("lambda" if k == "lam" else k): v for k, v in asdict(c).items()} for c in table.cells]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -331,8 +319,8 @@ def cmd_power(args) -> int:
         }
         _emit_json(args, payload)
     else:
-        header = ["model", "n", "a", "lambda", "reps", "rejections", "aborts", "rate", "se"]
-        _emit_csv_rows(args, header, [[c[k] for k in header] for c in cells])
+        header = list(cells[0])
+        _emit_csv_rows(args, header, [list(c.values()) for c in cells])
     return 0
 
 

@@ -72,27 +72,27 @@ class Dataset:
 
 @dataclass(frozen=True)
 class BasisTerm:
-    """One named column of the regression design."""
+    """One named column of the regression design: the product of the predictor
+    coordinates at ``indices`` (none for the intercept, one repeated for a square)."""
 
-    kind: str  # "intercept" | "coordinate" | "square" | "product"
     indices: tuple[int, ...] = ()
     label: str = ""
 
 
 def intercept() -> BasisTerm:
-    return BasisTerm("intercept", (), "1")
+    return BasisTerm((), "1")
 
 
 def coordinate(j: int, label: str | None = None) -> BasisTerm:
-    return BasisTerm("coordinate", (int(j),), label or f"x{j + 1}")
+    return BasisTerm((int(j),), label or f"x{j + 1}")
 
 
 def square(j: int, label: str | None = None) -> BasisTerm:
-    return BasisTerm("square", (int(j),), label or f"x{j + 1}^2")
+    return BasisTerm((int(j), int(j)), label or f"x{j + 1}^2")
 
 
 def product(i: int, j: int, label: str | None = None) -> BasisTerm:
-    return BasisTerm("product", (int(i), int(j)), label or f"x{i + 1}*x{j + 1}")
+    return BasisTerm((int(i), int(j)), label or f"x{i + 1}*x{j + 1}")
 
 
 @dataclass(frozen=True)
@@ -132,16 +132,7 @@ def evaluate_design(X: np.ndarray, spec: DesignSpec) -> np.ndarray:
                 raise ValueError(
                     f"design term {term.label!r} references predictor {j}, but data has {d0} columns"
                 )
-        if term.kind == "intercept":
-            cols[:, c] = 1.0
-        elif term.kind == "coordinate":
-            cols[:, c] = X[:, term.indices[0]]
-        elif term.kind == "square":
-            cols[:, c] = X[:, term.indices[0]] ** 2
-        elif term.kind == "product":
-            cols[:, c] = X[:, term.indices[0]] * X[:, term.indices[1]]
-        else:
-            raise ValueError(f"unknown basis term kind {term.kind!r}")
+        cols[:, c] = np.prod(X[:, list(term.indices)], axis=1)
     if not np.isfinite(cols).all():
         raise ValueError("design matrix contains non-finite values")
     return cols

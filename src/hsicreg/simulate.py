@@ -62,28 +62,17 @@ LINEAR1D = "linear1d"
 #: Predictor dimension of each built-in model.
 _DIM = {MODEL1: 4, MODEL2: 4, LINEAR1D: 1}
 
-#: Reference rejection percentages (alpha = 0.05, n = 100) for the
-#: lack-of-fit sweep over ``a``, for rough comparison when reading harness
-#: output.  "kernel" is the residual-dependence statistic implemented here;
-#: the rest are benchmark competitors that are *not* implemented in this
-#: package: "ks_marked" / "cvm_marked" are Kolmogorov-Smirnov- and
-#: Cramer-von-Mises-type tests built on the predictor empirical process
-#: marked by residuals, and "fourier" is an adaptive Fourier-basis test
-#: scored with the true noise variance.
+#: Reference rejection percentages (alpha = 0.05, n = 100) of the
+#: residual-dependence statistic implemented here, for the lack-of-fit sweep
+#: over ``a``, for rough comparison when reading harness output.
 REFERENCE_REJECTION_PERCENT = {
     MODEL1: {
         "a": (0, 1, 2, 3, 4, 5, 7, 10),
         "kernel": (4, 6, 11, 20, 34, 57, 89, 100),
-        "ks_marked": (5, 5, 7, 8, 11, 16, 28, 48),
-        "cvm_marked": (3, 5, 7, 10, 14, 21, 37, 60),
-        "fourier": (7, 7, 7, 10, 16, 22, 46, 89),
     },
     MODEL2: {
         "a": (0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.50, 0.60),
         "kernel": (6, 7, 10, 14, 22, 31, 43, 57, 69, 81, 92),
-        "ks_marked": (5, 5, 6, 8, 13, 15, 25, 31, 41, 51, 69),
-        "cvm_marked": (5, 5, 8, 10, 16, 20, 31, 38, 49, 55, 68),
-        "fourier": (8, 10, 8, 9, 10, 16, 23, 31, 42, 64, 84),
     },
 }
 
@@ -257,7 +246,8 @@ def power_study(
     trial's bootstrap runs serially).  A trial draws its replicates in order
     and stops once its decision is settled: as soon as the draws at or above
     the observed statistic push the add-one p-value above ``alpha``, it
-    accepts, and it rejects only after all B draws.  Each replicate is the
+    accepts, and as soon as the p-value would stay at or below ``alpha`` even
+    if every draw left exceeded, it rejects.  Each replicate is the
     one ``run_test`` would draw, so every decision is ``run_test``'s.  A
     trial counts as aborted only if a twice-singular refit comes before its
     decision is settled; aborted trials are counted per cell, surfaced in

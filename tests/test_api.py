@@ -23,7 +23,7 @@ def test_every_exported_name_resolves():
         ("gaussian_kernel", "kernels"),  # the pointwise oracle lives in tests/test_kernels.py
         ("build_design", "linreg"),  # use linreg.evaluate_design(data.predictors, spec)
         ("hsic_pairs_stat", "hsic"),  # use hsic_vstat on the two Gram matrices
-        ("custom", "linreg"),  # no replacement: designs are built from the four column kinds
+        ("custom", "linreg"),  # no replacement: a design term is a product of predictor coordinates
         ("CUSTOM", "simulate"),  # no replacement: a ModelSpec names a built-in model
     ],
 )

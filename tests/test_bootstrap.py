@@ -28,7 +28,7 @@ from hsicreg import (
     study_kernels,
     working_design,
 )
-from hsicreg.bootstrap import _curtailed_reject, _null_draw, _perm_draw, _permuted_stat, _PermSnapshot, parallel_map
+from hsicreg.bootstrap import _curtailed_reject, _null_draw, _perm_draw, _permuted_stat, parallel_map
 from hsicreg._rng import _KEY_BLOCK, _philox_keys, replicate_stream, substream
 from hsicreg.hsic import _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
@@ -91,14 +91,31 @@ class TestReplicateIndices:
 
 class TestReplicateStream:
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1, 2**70, 2**200 + 7])
-    @pytest.mark.parametrize("redraw", [0, 1, 2**32 - 1])
-    def test_key_blocks_equal_seed_sequence(self, seed, redraw):
-        for first in (0, _KEY_BLOCK, 2**32 - _KEY_BLOCK):
-            expected = [substream(seed, first + i, redraw).bit_generator.state["state"]["key"]
+    @pytest.mark.parametrize("tail", [(), (0,), (1,), (2**32 - 1,), (2**32,), (2**40 + 5, 3)],
+                             ids=lambda tail: "-".join(map(str, tail)) or "none")
+    def test_key_blocks_equal_seed_sequence(self, seed, tail):
+        """Every block, on both sides of 2**32 and past 2**64, whatever the tail."""
+        for first in (0, _KEY_BLOCK, 2**32 - _KEY_BLOCK, 2**32, 2**64):
+            expected = [substream(seed, first + i, *tail).bit_generator.state["state"]["key"]
                         for i in range(_KEY_BLOCK)]
-            np.testing.assert_array_equal(_philox_keys(seed, first, _KEY_BLOCK, redraw), expected)
+            np.testing.assert_array_equal(_philox_keys(seed, first, _KEY_BLOCK, tail), expected)
 
-    @pytest.mark.parametrize("key", [(3, 5, 0), (3, 70, 1), (2**70, 2**32 - 1, 0), (3, 2**32, 0), (3, 5, 2**32)])
+    def test_no_seed_sequence_is_built(self, monkeypatch):
+        """Every per-draw stream comes from the key port, at any word count."""
+
+        def refuse(*args):
+            raise AssertionError("SeedSequence built")
+
+        monkeypatch.setattr("hsicreg._rng._seed_sequence", refuse)
+        replicate_stream(2**70, 2**32 + 5, 2**32).random()
+        data = toy_data(31)
+        run_test(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19))
+        rng = np.random.default_rng(32)
+        permutation_pvalue(rng.normal(size=30), rng.normal(size=30), KernelSpec(), KernelSpec(),
+                           BootstrapConfig(replicates=19))
+
+    @pytest.mark.parametrize("key", [(3, 5, 0), (3, 70, 1), (2**70, 2**32 - 1, 0), (3, 2**32, 0), (3, 5, 2**32),
+                                     (3, 7), (2**70, 2**32 + 1)])
     def test_state_is_a_fresh_substream_state(self, key):
         """Counter, key and the buffered words all restart, whatever was drawn before."""
         replicate_stream(*key).integers(0, 2**40, size=3)
@@ -286,12 +303,12 @@ def test_no_replicate_calls_center_gram(monkeypatch):
 
     prep = _prepared_for(toy_data(76, n=50, d0=2), DesignSpec.main_effects(2))
     rng = np.random.default_rng(85)
-    perm = _PermSnapshot(gram_matrix(rng.normal(size=50), KernelSpec()),
-                         center_gram(gram_matrix(rng.normal(size=50), KernelSpec())), 4)
+    gram_u = gram_matrix(rng.normal(size=50), KernelSpec())
+    centered_v = center_gram(gram_matrix(rng.normal(size=50), KernelSpec()))
     for module in ("hsicreg.kernels", "hsicreg.bootstrap"):
         monkeypatch.setattr(f"{module}.center_gram", counted)
     _null_draw(prep, 4, 0)
-    _perm_draw(perm, 0)
+    _perm_draw(gram_u, centered_v, 4, 0)
     assert calls == []
 
 
@@ -680,7 +697,7 @@ class TestPermutationBaseline:
         permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9, seed=7))
         gram_u = gram_matrix(u, KernelSpec())
         gram_v = gram_matrix(v, KernelSpec())
-        identity = _permuted_stat(_PermSnapshot(gram_u, center_gram(gram_v), 7), np.arange(40))
+        identity = _permuted_stat(gram_u, center_gram(gram_v), np.arange(40))
         assert observed == [identity]
         assert identity == pytest.approx(hsic_vstat(gram_u, gram_v).value, rel=1e-12)
 
@@ -720,9 +737,26 @@ class TestPermutationBaseline:
             tracemalloc.stop()
         assert peak <= 2.3 * 8 * n * n, f"traced peak {peak / (8 * n * n):.3f} n x n arrays"
 
-    def test_sample_size_mismatch(self):
+    def test_sample_size_mismatch(self, monkeypatch):
+        """The lengths are compared before either Gram is built."""
+
+        def refuse(*args):
+            raise AssertionError("gram_matrix called")
+
+        monkeypatch.setattr("hsicreg.bootstrap.gram_matrix", refuse)
         with pytest.raises(ValueError, match="sample sizes differ"):
             permutation_pvalue(np.zeros(5), np.zeros(6), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9))
+
+    @pytest.mark.parametrize("replicate", [0, 63, 64, 2**32])
+    def test_draws_are_substream_permutations(self, replicate):
+        """A draw permutes by ``substream(seed, replicate)``, from the re-keyed generator."""
+        rng = np.random.default_rng(89)
+        gram_u = gram_matrix(rng.normal(size=(37, 2)), KernelSpec())
+        centered_v = center_gram(gram_matrix(rng.normal(size=37), KernelSpec()))
+        for seed in (0, 2**70):
+            expected = substream(seed, replicate).permutation(37)
+            np.testing.assert_array_equal(replicate_stream(seed, replicate).permutation(37), expected)
+            assert _perm_draw(gram_u, centered_v, seed, replicate) == _permuted_stat(gram_u, centered_v, expected)
 
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)

@@ -55,6 +55,14 @@ def test_evaluate_design_columns():
     np.testing.assert_array_equal(G[:, 1], [2.0, 4.0])
     np.testing.assert_array_equal(G[:, 2], [2.0, 12.0])
     np.testing.assert_array_equal(G[:, 3], [1.0, 9.0])
+    # Random floats with signed zeros and subnormals: each column is bit-equal to
+    # its elementwise form.
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-160, 150, size=(200, 2))
+    X[:4] = [[0.0, -0.0], [-0.0, 5e-324], [-5e-324, 2.5], [1e-160, -1e-160]]
+    G = evaluate_design(X, spec)
+    expected = np.column_stack([np.ones(200), X[:, 1], X[:, 0] * X[:, 1], X[:, 0] ** 2])
+    np.testing.assert_array_equal(G.view(np.uint64), expected.view(np.uint64))
 
 
 def test_evaluate_design_out_of_range_column():
