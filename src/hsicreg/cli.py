@@ -1,9 +1,11 @@
 """Command-line interface: test, simulate, power, contrast.
 
-Artifacts (JSON or CSV) go to ``--out`` or stdout and are byte-identical for a
-fixed ``--seed`` — worker count and any other execution detail never appear in
-them.  Progress/echo lines go to stderr.  Exit codes: 0 on success, 2 for
-input or configuration problems, 3 for numerical failures (singular designs,
+Each subcommand's handler returns its artifact as a JSON payload and a CSV
+table; :func:`main` writes the one ``--format`` names to ``--out`` or stdout.
+Artifacts are byte-identical for a fixed ``--seed`` — worker count and any
+other execution detail never appear in them.  Progress lines go to stderr.
+Exit codes: 0 on success, 2 for input or configuration problems (an
+unwritable ``--out`` among them), 3 for numerical failures (singular designs,
 aborted bootstraps).
 """
 from __future__ import annotations
@@ -14,6 +16,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 
 import numpy as np
@@ -37,6 +40,9 @@ from .simulate import (
 SCHEMA_VERSION = 1
 
 _BUILTIN_MODELS = (MODEL1, MODEL2, LINEAR1D)
+
+#: What a subcommand's handler returns: the JSON payload, the CSV header and the CSV rows.
+Artifact = tuple[dict, list[str], Iterable]
 
 
 def load_csv(path: str, response_column: str, predictor_columns: list[str] | None = None) -> Dataset:
@@ -169,27 +175,6 @@ def _jsonable(value):
     return value
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
-
-
-def _emit_csv_rows(args, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    _emit(args, buf.getvalue())
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -200,8 +185,21 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _echo(message: str) -> None:
-    print(message, file=sys.stderr)
+def _write_artifact(args, payload: dict, header: list[str], rows: Iterable) -> None:
+    """Write ``payload`` as JSON, or ``header`` and ``rows`` as CSV, to ``--out`` or stdout."""
+    if args.format == "json":
+        text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _model_spec(args, n: int, a: float, lam: float) -> ModelSpec:
@@ -212,29 +210,44 @@ def _model_spec(args, n: int, a: float, lam: float) -> ModelSpec:
     return ModelSpec(model=args.model, n=n, a=a, lam=lam, noise_sd=noise_sd)
 
 
+def _reject_unused(source: str, given: dict[str, bool]) -> None:
+    """Raise ``ValueError`` naming each flag of ``given`` that is set; ``source`` reads none of them."""
+    unused = [flag for flag, is_set in given.items() if is_set]
+    if unused:
+        raise ValueError(f"{', '.join(unused)} cannot be used with {source}")
+
+
 def _dataset_for_test(args) -> tuple[Dataset, str]:
-    """The dataset named by --input or drawn from the built-in model."""
+    """The dataset named by --input or drawn from the built-in model.
+
+    A flag of the other data source is an error, not silently ignored; ``--a 0``
+    and ``--lambda 0`` equal their defaults and pass.
+    """
     if args.input and args.model:
         raise ValueError("--input and --model are mutually exclusive; pick one data source")
     if args.input:
+        _reject_unused("--input", {"--n": args.n is not None, "--a": args.a != 0.0,
+                                   "--lambda": args.lam != 0.0, "--noise-sd": args.noise_sd is not None})
         if not args.response:
             raise ValueError("--input requires --response NAME")
         predictors = args.predictors.split(",") if args.predictors else None
         data = load_csv(args.input, args.response, predictors)
-        _echo(f"loaded {data.n} rows from {args.input}; predictors: {', '.join(data.names())}; "
-              f"response: {args.response}")
+        print(f"loaded {data.n} rows from {args.input}; predictors: {', '.join(data.names())}; "
+              f"response: {args.response}", file=sys.stderr)
         return data, args.input
     if not args.model:
         raise ValueError("provide either --input FILE --response NAME or --model NAME --n SIZE")
+    _reject_unused("--model", {"--response": args.response is not None,
+                               "--predictors": args.predictors is not None})
     if args.n is None:
         raise ValueError("--model requires --n SIZE")
     spec = _model_spec(args, args.n, args.a, args.lam)
     sim = draw_model(spec, substream(args.seed, 0))
-    _echo(f"simulated {spec.model} with n={spec.n}, a={spec.a}, lambda={spec.lam}")
+    print(f"simulated {spec.model} with n={spec.n}, a={spec.a}, lambda={spec.lam}", file=sys.stderr)
     return sim.data, spec.model
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> Artifact:
     data, source = _dataset_for_test(args)
     design = parse_design(args.design, data.names()) if args.design else DesignSpec.main_effects(data.d0)
     config = BootstrapConfig(replicates=args.B, seed=derive_seed(args.seed, 1), workers=args.workers)
@@ -265,66 +278,50 @@ def cmd_test(args) -> int:
         "design": list(result.design_labels),
         "beta_hat": result.beta_hat,
     }
-    if args.format == "json":
-        _emit_json(args, payload)
-    else:
-        scalar_keys = [k for k in payload if k not in ("design", "beta_hat")]
-        header = scalar_keys + ["design", "beta_hat"]
-        row = [payload[k] for k in scalar_keys]
-        row.append(" + ".join(payload["design"]))
-        row.append(";".join(repr(float(b)) for b in result.beta_hat))
-        _emit_csv_rows(args, header, [row])
-    return 0
+    # The last two keys, design and beta_hat, take one CSV cell each.
+    row = [*list(payload.values())[:-2], " + ".join(payload["design"]),
+           ";".join(repr(float(b)) for b in result.beta_hat)]
+    return payload, list(payload), [row]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Artifact:
     spec = _model_spec(args, args.n, args.a, args.lam)
     sim = draw_model(spec, substream(args.seed, 0))
-    names = list(sim.data.names())
-    columns = names + ["y", "error"]
+    columns = list(sim.data.names()) + ["y", "error"]
     matrix = np.column_stack([sim.data.predictors, sim.data.response, sim.errors])
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "model": spec.model,
-            "n": spec.n,
-            "a": spec.a,
-            "lambda": spec.lam,
-            "noise_sd": spec.noise_sd,
-            "seed": args.seed,
-            "columns": columns,
-            "rows": matrix,
-        }
-        _emit_json(args, payload)
-    else:
-        _emit_csv_rows(args, columns, [list(row) for row in matrix])
-    return 0
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "simulate",
+        "model": spec.model,
+        "n": spec.n,
+        "a": spec.a,
+        "lambda": spec.lam,
+        "noise_sd": spec.noise_sd,
+        "seed": args.seed,
+        "columns": columns,
+        "rows": matrix,
+    }
+    return payload, columns, matrix
 
 
-def cmd_power(args) -> int:
+def cmd_power(args) -> Artifact:
     grid = [_model_spec(args, n, a, lam) for n in args.n for a in args.a for lam in args.lam]
     config = BootstrapConfig(replicates=args.B, seed=args.seed, workers=args.workers)
     table = power_study(grid, args.alpha, config, args.reps)
     cells = [{("lambda" if k == "lam" else k): v for k, v in asdict(c).items()} for c in table.cells]
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "power",
-            "alpha": table.alpha,
-            "replicates": table.replicates,
-            "reps": args.reps,
-            "seed": args.seed,
-            "cells": cells,
-        }
-        _emit_json(args, payload)
-    else:
-        header = list(cells[0])
-        _emit_csv_rows(args, header, [list(c.values()) for c in cells])
-    return 0
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "power",
+        "alpha": table.alpha,
+        "replicates": table.replicates,
+        "reps": args.reps,
+        "seed": args.seed,
+        "cells": cells,
+    }
+    return payload, list(cells[0]), [list(c.values()) for c in cells]
 
 
-def cmd_contrast(args) -> int:
+def cmd_contrast(args) -> Artifact:
     spec = _model_spec(args, args.n, args.a, args.lam)
     kernel_x, kernel_e = _kernels_from_args(args, spec.dim)
     result = null_distribution_contrast(
@@ -335,37 +332,34 @@ def cmd_contrast(args) -> int:
     edges = np.histogram_bin_edges(both, bins=30)
     resid_counts, _ = np.histogram(result.residual_stats, bins=edges)
     error_counts, _ = np.histogram(result.error_stats, bins=edges)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "contrast",
-            "model": spec.model,
-            "n": result.n,
-            "reps": result.reps,
-            "seed": args.seed,
-            "bandwidth_x": kernel_x.bandwidth,
-            "bandwidth_e": kernel_e.bandwidth,
-            "ks_distance": result.ks_distance,
-            "ks_pvalue": result.ks_pvalue,
-            "undersampled": result.undersampled,
-            "histogram": {
-                "edges": edges,
-                "residual_counts": resid_counts,
-                "error_counts": error_counts,
-            },
-            "residual_stats": result.residual_stats,
-            "error_stats": result.error_stats,
-        }
-        _emit_json(args, payload)
-    else:
-        rows = [["ks_distance", "", 0, result.ks_distance], ["ks_pvalue", "", 0, result.ks_pvalue]]
-        rows += [["stat", "residual", i, v] for i, v in enumerate(result.residual_stats)]
-        rows += [["stat", "error", i, v] for i, v in enumerate(result.error_stats)]
-        rows += [["hist_edge", "", i, v] for i, v in enumerate(edges)]
-        rows += [["hist_count", "residual", i, int(v)] for i, v in enumerate(resid_counts)]
-        rows += [["hist_count", "error", i, int(v)] for i, v in enumerate(error_counts)]
-        _emit_csv_rows(args, ["record", "arm", "index", "value"], rows)
-    return 0
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "contrast",
+        "model": spec.model,
+        "n": result.n,
+        "reps": result.reps,
+        "seed": args.seed,
+        # A median-rule kernel is resolved by each replication on its own data.
+        "bandwidth_x": MEDIAN if kernel_x.rule == MEDIAN else kernel_x.bandwidth,
+        "bandwidth_e": MEDIAN if kernel_e.rule == MEDIAN else kernel_e.bandwidth,
+        "ks_distance": result.ks_distance,
+        "ks_pvalue": result.ks_pvalue,
+        "undersampled": result.undersampled,
+        "histogram": {
+            "edges": edges,
+            "residual_counts": resid_counts,
+            "error_counts": error_counts,
+        },
+        "residual_stats": result.residual_stats,
+        "error_stats": result.error_stats,
+    }
+    rows = [["ks_distance", "", 0, result.ks_distance], ["ks_pvalue", "", 0, result.ks_pvalue]]
+    rows += [["stat", "residual", i, v] for i, v in enumerate(result.residual_stats)]
+    rows += [["stat", "error", i, v] for i, v in enumerate(result.error_stats)]
+    rows += [["hist_edge", "", i, v] for i, v in enumerate(edges)]
+    rows += [["hist_count", "residual", i, int(v)] for i, v in enumerate(resid_counts)]
+    rows += [["hist_count", "error", i, int(v)] for i, v in enumerate(error_counts)]
+    return payload, ["record", "arm", "index", "value"], rows
 
 
 def _add_output_flags(p: argparse.ArgumentParser, default_format: str) -> None:
@@ -453,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _write_artifact(args, *args.handler(args))
+        return 0
     except (SingularDesignError, BootstrapAbortError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -86,10 +86,14 @@ def median_heuristic(points) -> float:
     pair.  A sample whose pairwise distances are all zero (or whose median
     distance is zero) cannot yield a usable bandwidth and raises
     :class:`DegenerateDataError`.
+
+    The n(n-1)/2 distances and the copy ``np.median`` sorts take 8n(n-1)
+    bytes, within the Gram bound, so :func:`_check_gram_fits` runs first.
     """
     pts = as_points(points)
     if pts.shape[0] < 2:
         raise DegenerateDataError("median heuristic needs at least two points")
+    _check_gram_fits(pts.shape[0])
     # Imported here, not at the top: scipy.spatial is slow to import, and only the median rule needs it.
     from scipy.spatial.distance import pdist
 

@@ -330,6 +330,51 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err and "n = 400" in err
 
+    def test_median_rule_over_the_memory_limit_is_code_2(self, capsys, tmp_path, monkeypatch):
+        def no_pdist(*args, **kwargs):
+            raise AssertionError("pdist ran before the memory check")
+
+        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (1_000_000, "a patched limit"))
+        monkeypatch.setattr("scipy.spatial.distance.pdist", no_pdist)
+        rows = np.random.default_rng(9).normal(size=(400, 3)).tolist()
+        path = write_csv(tmp_path / "large.csv", ["x1", "x2", "y"], rows)
+        code, _, err = run_main(capsys, ["test", "--input", path, "--response", "y", "--B", "9",
+                                         "--bandwidth-x", "median"])
+        assert code == 2
+        assert "error:" in err and "n = 400" in err
+
+    @pytest.mark.parametrize("flag, value", [("--n", "500"), ("--a", "7"), ("--lambda", "3"),
+                                             ("--noise-sd", "2"), ("--response", "y"), ("--predictors", "a,b")])
+    def test_flag_of_the_other_data_source_is_code_2(self, capsys, small_csv, flag, value):
+        if flag in ("--response", "--predictors"):
+            argv, source = ["test", "--model", "model1", "--n", "30"], "--model"
+        else:
+            argv, source = ["test", "--input", small_csv, "--response", "y"], "--input"
+        code, out, err = run_main(capsys, argv + ["--B", "9", flag, value])
+        assert (code, out) == (2, "")
+        assert f"error: {flag} cannot be used with {source}" in err
+
+    def test_zero_model_knobs_pass_with_input(self, capsys, small_csv):
+        argv = ["test", "--input", small_csv, "--response", "y", "--B", "9"]
+        _, plain, _ = run_main(capsys, argv)
+        assert run_main(capsys, argv + ["--a", "0", "--lambda", "0"])[:2] == (0, plain)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--model", "model1", "--n", "30", "--B", "9"],
+            ["simulate", "--model", "model1", "--n", "5"],
+            ["power", "--model", "model1", "--n", "30", "--reps", "2", "--B", "9"],
+            ["contrast", "--n", "20", "--reps", "25"],
+        ],
+        ids=["test", "simulate", "power", "contrast"],
+    )
+    def test_out_in_a_missing_directory_is_code_2(self, capsys, tmp_path, argv):
+        code, out, err = run_main(capsys, argv + ["--out", str(tmp_path / "missing" / "artifact")])
+        assert (code, out) == (2, "")
+        assert "error:" in err
+        assert not (tmp_path / "missing").exists()
+
     def test_singular_design_is_code_3(self, capsys, tmp_path):
         rows = [[x, x, 2 * x + 1] for x in (0.2, 0.5, 0.9, 1.4, 1.8, 2.2)]
         path = write_csv(tmp_path / "collinear.csv", ["x1", "x2", "y"], rows)
@@ -424,6 +469,16 @@ class TestContrastCommand:
         payload = json.loads(out)
         assert payload["bandwidth_x"] == 1.5
         assert payload["bandwidth_e"] == pytest.approx(np.sqrt(2.0))
+
+    @pytest.mark.parametrize("kernel, other", [("x", "e"), ("e", "x")])
+    def test_median_rule_is_reported_as_median(self, capsys, kernel, other):
+        code, out, _ = run_main(
+            capsys, ["contrast", "--n", "20", "--reps", "25", f"--bandwidth-{kernel}", "median"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[f"bandwidth_{kernel}"] == "median"
+        assert isinstance(payload[f"bandwidth_{other}"], float)
 
     def test_csv_long_form(self, capsys):
         code, out, _ = run_main(

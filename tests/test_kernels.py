@@ -9,7 +9,9 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from hsicreg import (
+    Dataset,
     DegenerateDataError,
+    DesignSpec,
     KernelSpec,
     MemoryLimitError,
     center_gram,
@@ -17,6 +19,7 @@ from hsicreg import (
     median_heuristic,
     resolve_bandwidth,
 )
+from hsicreg.hsic import prepare_stat
 from hsicreg.kernels import _TILE, FIXED, MEDIAN, _gram_tile, _memory_limit, as_points
 
 
@@ -193,6 +196,19 @@ class TestMemoryGuard:
         for part in ("n = 400", f"{needed} bytes", "1000000 bytes", "a patched limit"):
             assert part in message, message
         assert isinstance(info.value, MemoryError)
+
+    def test_median_rule_checks_the_limit_before_its_distances(self, one_megabyte, monkeypatch):
+        def no_pdist(*args, **kwargs):
+            raise AssertionError("pdist ran before the memory check")
+
+        monkeypatch.setattr("scipy.spatial.distance.pdist", no_pdist)
+        rng = np.random.default_rng(23)
+        X, y = rng.normal(size=(400, 2)), rng.normal(size=400)
+        with pytest.raises(MemoryLimitError, match="n = 400"):
+            median_heuristic(X)
+        with pytest.raises(MemoryLimitError, match="n = 400"):
+            prepare_stat(Dataset(X, y), DesignSpec.main_effects(2),
+                         KernelSpec(rule=MEDIAN), KernelSpec(rule=MEDIAN))
 
     def test_a_gram_under_the_limit_is_built(self, one_megabyte):
         assert gram_matrix(np.arange(200.0), KernelSpec()).shape == (200, 200)
