@@ -23,6 +23,7 @@ from .kernels import (
     gram_matrix,
     median_heuristic,
     resolve_bandwidth,
+    study_kernels,
 )
 from .linreg import (
     BasisTerm,
@@ -52,7 +53,6 @@ from .simulate import (
     simulate_linear1d,
     simulate_model1,
     simulate_model2,
-    study_kernels,
     working_design,
 )
 

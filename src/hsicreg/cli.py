@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from collections.abc import Iterable
 from dataclasses import asdict
 
@@ -24,7 +25,7 @@ import numpy as np
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, run_test
 from .errors import BootstrapAbortError, MemoryLimitError, SingularDesignError
-from .kernels import FIXED, MEDIAN, KernelSpec
+from .kernels import MEDIAN, KernelSpec, study_kernels
 from .linreg import Dataset, DesignSpec, coordinate, intercept, product, square
 from .simulate import (
     LINEAR1D,
@@ -34,7 +35,6 @@ from .simulate import (
     draw_model,
     null_distribution_contrast,
     power_study,
-    study_kernels,
 )
 
 SCHEMA_VERSION = 1
@@ -75,6 +75,9 @@ def load_csv(path: str, response_column: str, predictor_columns: list[str] | Non
     if response_column in predictor_columns:
         raise ValueError(f"{path}: response column {response_column!r} also listed as a predictor")
     x_cols = [column_of(name) for name in predictor_columns]
+    for i, name in enumerate(predictor_columns):
+        if name in predictor_columns[:i]:
+            raise ValueError(f"{path}: predictor column {name!r} listed more than once")
 
     if len(body) < len(predictor_columns) + 2:
         raise ValueError(
@@ -138,18 +141,11 @@ def _bandwidth(text: str):
         ) from None
 
 
-def _kernel_from_flag(bandwidth, default: KernelSpec) -> KernelSpec:
-    if bandwidth is None:
-        return default
-    if bandwidth == MEDIAN:
-        return KernelSpec(rule=MEDIAN)
-    return KernelSpec(bandwidth=float(bandwidth), rule=FIXED)
-
-
 def _kernels_from_args(args, dim: int) -> tuple[KernelSpec, KernelSpec]:
     """The (predictor, residual) kernels; an unset flag takes ``study_kernels(dim)``'s kernel."""
-    default_x, default_e = study_kernels(dim)
-    return _kernel_from_flag(args.bandwidth_x, default_x), _kernel_from_flag(args.bandwidth_e, default_e)
+    flags = (args.bandwidth_x, args.bandwidth_e)
+    return tuple(default if flag is None else KernelSpec(flag)
+                 for flag, default in zip(flags, study_kernels(dim)))
 
 
 def _int_list(text: str) -> list[int]:
@@ -324,10 +320,15 @@ def cmd_power(args) -> Artifact:
 def cmd_contrast(args) -> Artifact:
     spec = _model_spec(args, args.n, args.a, args.lam)
     kernel_x, kernel_e = _kernels_from_args(args, spec.dim)
-    result = null_distribution_contrast(
-        spec, kernel_x, kernel_e, args.reps,
-        seed=args.seed, workers=args.workers, standardize=not args.no_standardize,
-    )
+    # A warning, such as too few replications, becomes a plain stderr line, not a source location.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = null_distribution_contrast(
+            spec, kernel_x, kernel_e, args.reps,
+            seed=args.seed, workers=args.workers, standardize=not args.no_standardize,
+        )
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     both = np.concatenate([result.residual_stats, result.error_stats])
     edges = np.histogram_bin_edges(both, bins=30)
     resid_counts, _ = np.histogram(result.residual_stats, bins=edges)
@@ -339,9 +340,8 @@ def cmd_contrast(args) -> Artifact:
         "n": result.n,
         "reps": result.reps,
         "seed": args.seed,
-        # A median-rule kernel is resolved by each replication on its own data.
-        "bandwidth_x": MEDIAN if kernel_x.rule == MEDIAN else kernel_x.bandwidth,
-        "bandwidth_e": MEDIAN if kernel_e.rule == MEDIAN else kernel_e.bandwidth,
+        "bandwidth_x": kernel_x.bandwidth,
+        "bandwidth_e": kernel_e.bandwidth,
         "ks_distance": result.ks_distance,
         "ks_pvalue": result.ks_pvalue,
         "undersampled": result.undersampled,

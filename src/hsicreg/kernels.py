@@ -5,10 +5,12 @@ The kernel convention throughout is
     k(u, v) = exp(-||u - v||^2 / bandwidth^2)
 
 i.e. the squared Euclidean distance divided by the squared bandwidth, with no
-extra factor of 2.  ``KernelSpec()`` has bandwidth 1.0, for standardized
-variables; the median pairwise distance rule is an explicit opt-in.  The CLI
-and the Monte Carlo harness default instead to ``study_kernels(d)`` (2*sqrt(d)
-and sqrt(2)), which needs the data's dimension d that a constructor lacks.
+extra factor of 2.  A :class:`KernelSpec` holds one bandwidth: a positive
+number, or ``"median"`` for the median pairwise distance rule.  Both kernel
+defaults live here.  ``KernelSpec()`` has bandwidth 1.0, for standardized
+variables.  :func:`study_kernels` gives the CLI's and the Monte Carlo
+harness's (predictor, residual) pair, which needs the data's dimension d that
+a constructor lacks; its docstring gives their rationale.
 
 Every accumulation is plain float64 at every n, so results do not depend on
 the platform's ``long double`` width.
@@ -26,16 +28,16 @@ instead of letting the operating system kill the run.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateDataError, MemoryLimitError
 
-#: Bandwidth rules understood by :class:`KernelSpec`.
-FIXED = "fixed"
+#: The bandwidth of a :class:`KernelSpec` that the median pairwise distance rule resolves.
 MEDIAN = "median"
 
 #: Rows per strip of a Gram build, and the side of the square tiles
@@ -49,22 +51,41 @@ _TILE = 128
 class KernelSpec:
     """A Gaussian kernel with a fixed bandwidth or the median-distance rule.
 
-    With ``rule="fixed"`` the bandwidth is used as given.  With
-    ``rule="median"`` the bandwidth is resolved from the data at hand (the
-    median of the pairwise distances) before any Gram matrix is formed; the
-    ``bandwidth`` field is ignored until then.
+    ``bandwidth`` is a positive finite number, stored as a ``float``, or
+    ``MEDIAN``.  A median bandwidth is resolved from the data at hand (the
+    median of the pairwise distances, see :func:`resolve_bandwidth`) before
+    any Gram matrix is formed.  Anything else, a bool or another string
+    among them, raises ``ValueError``.
     """
 
-    bandwidth: float = 1.0
-    rule: str = FIXED
+    bandwidth: float | str = 1.0
 
     def __post_init__(self) -> None:
-        if self.rule not in (FIXED, MEDIAN):
-            raise ValueError(f"unknown bandwidth rule {self.rule!r}; expected {FIXED!r} or {MEDIAN!r}")
-        if self.rule == FIXED:
-            bw = float(self.bandwidth)
-            if not np.isfinite(bw) or bw <= 0.0:
-                raise ValueError(f"bandwidth must be a positive finite number, got {self.bandwidth!r}")
+        bw = self.bandwidth
+        if isinstance(bw, str) and bw == MEDIAN:
+            return
+        if isinstance(bw, bool) or not isinstance(bw, numbers.Real) or not 0.0 < float(bw) < math.inf:
+            raise ValueError(f"bandwidth must be a positive finite number or {MEDIAN!r}, got {bw!r}")
+        object.__setattr__(self, "bandwidth", float(bw))
+
+
+def study_kernels(dim: int) -> tuple[KernelSpec, KernelSpec]:
+    """Fixed (predictor, residual) kernels for data with ``dim`` predictors.
+
+    Bandwidths are 2*sqrt(dim) and sqrt(2), applied after standardization.
+    They are the defaults of the Monte Carlo harness and of every CLI
+    subcommand; ``KernelSpec()`` itself stays at bandwidth 1.0.
+
+    Standardized predictor pairs sit at squared distance ~ 2*dim on average,
+    so a bandwidth of order sqrt(dim) is the smallest choice that keeps the
+    predictor Gram matrix away from the near-identity regime in which the
+    statistic loses nearly all discriminating power.  The factor 2 was
+    calibrated so the harness reproduces the reference rejection rates at n
+    in the low hundreds.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return KernelSpec(2.0 * math.sqrt(dim)), KernelSpec(math.sqrt(2.0))
 
 
 def as_points(points) -> np.ndarray:
@@ -108,10 +129,10 @@ def median_heuristic(points) -> float:
 
 
 def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
-    """Return a fixed-bandwidth copy of ``spec``, resolving the median rule on ``points``."""
-    if spec.rule == FIXED:
-        return spec
-    return replace(spec, bandwidth=median_heuristic(points), rule=FIXED)
+    """``spec`` with a numeric bandwidth: a median spec resolved on ``points``, any other spec as is."""
+    if spec.bandwidth == MEDIAN:
+        return KernelSpec(median_heuristic(points))
+    return spec
 
 
 def gram_matrix(points, spec: KernelSpec) -> np.ndarray:

@@ -22,14 +22,8 @@ The working (possibly misspecified) fit used by the harness for model1/model2
 is the main-effects design {1, x1, x2, x3, x4}; lack of fit exists exactly
 when ``a != 0``, error/predictor dependence exactly when ``lam != 0``.
 
-Harness bandwidth protocol: the study runs on standardized data with fixed
-bandwidths 2*sqrt(d) for the predictor kernel (d predictors) and sqrt(2) for
-the residual kernel (see :func:`study_kernels`).  On standardized predictors
-the squared pairwise distances concentrate near 2*d, so a bandwidth of order
-sqrt(d) is the smallest choice that keeps the predictor Gram matrix away from
-the near-diagonal regime in which the statistic stops discriminating; the
-factor 2 was calibrated so the harness reproduces the reference rejection
-rates at n in the low hundreds.
+The harness's kernels are :func:`hsicreg.kernels.study_kernels`, fixed
+bandwidths on standardized data; their rationale is in its docstring.
 
 Both Monte Carlo drivers take :class:`ModelSpec` cells and key every draw
 by seed: :func:`power_study` (rejection rates) and
@@ -52,7 +46,7 @@ from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
 from .errors import BootstrapAbortError
 from .hsic import _freed_work_memory, _gaussian_tiles, _tiled_stat, prepare_stat
-from .kernels import KernelSpec
+from .kernels import KernelSpec, study_kernels
 from .linreg import Dataset, DesignSpec
 
 MODEL1 = "model1"
@@ -171,24 +165,6 @@ def working_design(spec: ModelSpec) -> DesignSpec:
     return DesignSpec.main_effects(spec.dim)
 
 
-def study_kernels(dim: int) -> tuple[KernelSpec, KernelSpec]:
-    """Fixed (predictor, residual) kernels for data with ``dim`` predictors.
-
-    Bandwidths are 2*sqrt(dim) and sqrt(2), applied after standardization.
-    Standardized predictor pairs sit at squared distance ~ 2*dim on average,
-    so sub-sqrt(dim) bandwidths drive the predictor Gram matrix toward the
-    identity, where the statistic loses nearly all discriminating power.
-    They are the defaults of the harness and of every CLI subcommand;
-    ``KernelSpec()`` itself stays at bandwidth 1.0.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return (
-        KernelSpec(bandwidth=2.0 * float(np.sqrt(dim))),
-        KernelSpec(bandwidth=float(np.sqrt(2.0))),
-    )
-
-
 @dataclass(frozen=True)
 class PowerCell:
     """Monte Carlo rejection summary for one grid cell."""
@@ -219,8 +195,8 @@ def _power_trial(
     grid: Sequence[ModelSpec],
     alpha: float,
     config: BootstrapConfig,
-) -> tuple[int, bool, bool]:
-    """(cell index, rejected?, aborted?) for one Monte Carlo trial."""
+) -> tuple[bool, bool]:
+    """(rejected?, aborted?) for one Monte Carlo trial."""
     cell, trial = task
     spec = grid[cell]
     sim = draw_model(spec, substream(config.seed, cell, trial, 0))
@@ -228,8 +204,8 @@ def _power_trial(
     try:
         reject = _curtailed_reject(sim.data, working_design(spec), *study_kernels(spec.dim), trial_config, alpha)
     except BootstrapAbortError:
-        return cell, False, True
-    return cell, reject, False
+        return False, True
+    return reject, False
 
 
 def power_study(
@@ -262,10 +238,11 @@ def power_study(
     check_alpha(alpha)
     tasks = [(c, t) for c in range(len(grid)) for t in range(reps)]
     runner = partial(_power_trial, grid=grid, alpha=alpha, config=config)
+    # Tasks are cell-major and parallel_map keeps their order, so cell c's trials are one slice.
     outcomes = parallel_map(runner, tasks, config.workers)
     cells = []
     for c, spec in enumerate(grid):
-        mine = [(rej, ab) for cell, rej, ab in outcomes if cell == c]
+        mine = outcomes[c * reps:(c + 1) * reps]
         aborts = sum(1 for _, ab in mine if ab)
         done = len(mine) - aborts
         rejections = sum(1 for rej, ab in mine if rej and not ab)

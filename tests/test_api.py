@@ -25,12 +25,18 @@ def test_every_exported_name_resolves():
         ("hsic_pairs_stat", "hsic"),  # use hsic_vstat on the two Gram matrices
         ("custom", "linreg"),  # no replacement: a design term is a product of predictor coordinates
         ("CUSTOM", "simulate"),  # no replacement: a ModelSpec names a built-in model
+        ("FIXED", "kernels"),  # a numeric bandwidth is fixed; KernelSpec("median") asks for the rule
     ],
 )
 def test_removed_names_are_gone(name, module):
     assert name not in hsicreg.__all__
     assert not hasattr(hsicreg, name)
     assert not hasattr(getattr(hsicreg, module), name)
+
+
+def test_study_kernels_live_beside_kernel_spec():
+    assert hsicreg.study_kernels is hsicreg.kernels.study_kernels
+    assert hsicreg.simulate.study_kernels is hsicreg.kernels.study_kernels
 
 
 @pytest.mark.parametrize("name", ["null_distribution_contrast", "ContrastResult"])

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,13 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_repeated_predictor_is_code_2(self, capsys, small_csv):
+        code, out, err = run_main(
+            capsys, ["test", "--input", small_csv, "--response", "y", "--predictors", "x1,x1"]
+        )
+        assert (code, out) == (2, "")
+        assert "predictor column 'x1' listed more than once" in err
+
     def test_missing_file_is_code_2(self, capsys):
         assert run_main(capsys, ["test", "--input", "/nonexistent.csv", "--response", "y"])[0] == 2
 
@@ -479,6 +487,19 @@ class TestContrastCommand:
         payload = json.loads(out)
         assert payload[f"bandwidth_{kernel}"] == "median"
         assert isinstance(payload[f"bandwidth_{other}"], float)
+
+    def test_undersampled_warning_is_a_plain_line(self, capsys):
+        argv = ["contrast", "--n", "30", "--reps", "20"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: contrast ran with only 20 replications per arm; "
+            "the KS comparison is unreliable below 25"
+        ]
+        assert "cli.py" not in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(capsys, argv) == (0, out, err)
 
     def test_csv_long_form(self, capsys):
         code, out, _ = run_main(

@@ -394,9 +394,9 @@ class TestPreparedStat:
     def test_median_bandwidths_resolved_once(self):
         rng = np.random.default_rng(63)
         data = Dataset(rng.normal(size=(30, 2)), rng.normal(size=30))
-        prep = prepare_stat(data, DesignSpec.main_effects(2), KernelSpec(rule=MEDIAN), KernelSpec(rule=MEDIAN))
-        assert prep.kernel_x.rule == "fixed"
-        assert prep.kernel_e.rule == "fixed"
+        prep = prepare_stat(data, DesignSpec.main_effects(2), KernelSpec(MEDIAN), KernelSpec(MEDIAN))
+        assert type(prep.kernel_x.bandwidth) is float
+        assert type(prep.kernel_e.bandwidth) is float
         assert prep.kernel_x.bandwidth > 0
         assert prep.kernel_e.bandwidth > 0
 

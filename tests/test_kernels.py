@@ -1,7 +1,9 @@
 """Kernel evaluation, Gram matrices, bandwidth rules, and centering."""
 
+import dataclasses
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from hsicreg import (
     resolve_bandwidth,
 )
 from hsicreg.hsic import prepare_stat
-from hsicreg.kernels import _TILE, FIXED, MEDIAN, _gram_tile, _memory_limit, as_points
+from hsicreg.kernels import _TILE, MEDIAN, _gram_tile, _memory_limit, as_points
 
 
 def gaussian_kernel(u, v, bandwidth: float) -> float:
@@ -75,11 +77,30 @@ def test_gaussian_kernel_rejects_bad_bandwidth(bad):
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(bandwidth=-2.0)
-    with pytest.raises(ValueError):
-        KernelSpec(rule="widest")
-    # median rule ignores the bandwidth field until resolution
-    spec = KernelSpec(rule=MEDIAN)
-    assert spec.rule == MEDIAN
+    with pytest.raises(ValueError, match="'widest'"):
+        KernelSpec("widest")
+    # a median spec keeps the rule's name until resolution
+    assert KernelSpec(MEDIAN).bandwidth == MEDIAN
+
+
+@pytest.mark.parametrize("bad", [True, "2.0", -1, 0, float("nan"), float("inf"), None],
+                         ids=["True", "str-number", "-1", "0", "nan", "inf", "None"])
+def test_kernel_spec_rejects_bad_bandwidth_when_built(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        KernelSpec(bad)
+
+
+@pytest.mark.parametrize("given, stored", [(2, 2.0), (np.float32(1.5), 1.5), (MEDIAN, MEDIAN)])
+def test_kernel_spec_stores_a_float_or_median(given, stored):
+    bandwidth = KernelSpec(given).bandwidth
+    assert bandwidth == stored
+    assert type(bandwidth) is type(stored)
+
+
+def test_kernel_spec_is_the_bandwidth_alone():
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["bandwidth"]
+    with pytest.raises(TypeError):
+        KernelSpec(rule="median")
 
 
 def test_median_heuristic_three_point_line():
@@ -106,8 +127,8 @@ def test_resolve_bandwidth_fixed_passthrough():
 
 
 def test_resolve_bandwidth_median_becomes_fixed():
-    resolved = resolve_bandwidth(KernelSpec(rule=MEDIAN), [0.0, 1.0, 2.0])
-    assert resolved.rule == FIXED
+    resolved = resolve_bandwidth(KernelSpec(MEDIAN), [0.0, 1.0, 2.0])
+    assert type(resolved.bandwidth) is float
     assert resolved.bandwidth == 1.0
 
 
@@ -168,7 +189,7 @@ def test_strip_build_resolves_the_median_rule_once(monkeypatch):
         return median_heuristic(points)
 
     monkeypatch.setattr("hsicreg.kernels.median_heuristic", counted)
-    got = gram_matrix(pts, KernelSpec(rule=MEDIAN))
+    got = gram_matrix(pts, KernelSpec(MEDIAN))
     assert calls == [1]
     assert np.array_equal(got, _gram_tile(pts, pts, bandwidth, np.empty((300, 300))))
 
@@ -208,7 +229,7 @@ class TestMemoryGuard:
             median_heuristic(X)
         with pytest.raises(MemoryLimitError, match="n = 400"):
             prepare_stat(Dataset(X, y), DesignSpec.main_effects(2),
-                         KernelSpec(rule=MEDIAN), KernelSpec(rule=MEDIAN))
+                         KernelSpec(MEDIAN), KernelSpec(MEDIAN))
 
     def test_a_gram_under_the_limit_is_built(self, one_megabyte):
         assert gram_matrix(np.arange(200.0), KernelSpec()).shape == (200, 200)

@@ -180,7 +180,7 @@ def test_study_kernels_values():
     kx, ke = study_kernels(4)
     assert kx.bandwidth == 4.0
     assert ke.bandwidth == pytest.approx(np.sqrt(2.0), abs=0)
-    assert kx.rule == "fixed" and ke.rule == "fixed"
+    assert type(kx.bandwidth) is float and type(ke.bandwidth) is float
     kx1, _ = study_kernels(1)
     assert kx1.bandwidth == 2.0
     with pytest.raises(ValueError):
