@@ -13,6 +13,13 @@ the predictors — but a permutation p-value for raw i.i.d. pairs is provided
 as a baseline for the no-regression setting.  The contrast that shows why is
 :func:`hsicreg.simulate.null_distribution_contrast`, beside the power harness.
 
+Replicates are drawn in blocks of consecutive indices (:func:`_null_block`):
+each member draws its own indices, one stacked QR refits them all with the
+solver of :func:`~hsicreg.linreg.fit_ols`, and each member's statistic (or its
+one redraw, if its refit was singular) waits until its draw is consumed.  No
+draw depends on its block, so the draws are the same at every block size and
+worker count, and a curtailed trial can stop mid-block.
+
 Kernels and bandwidths are frozen from the original fit; replicates are never
 re-standardized and never re-resolve a median bandwidth.  A replicate reads the
 :class:`~hsicreg.hsic.PreparedStat` of the original fit and gathers nothing
@@ -43,15 +50,21 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ._rng import replicate_stream
-from .errors import BootstrapAbortError, SingularDesignError
+from .errors import BootstrapAbortError
 from .hsic import PreparedStat, _freed_work_memory, _gaussian_tiles, _tiled_stat, _work_arrays, prepare_stat
 from .kernels import _TILE, KernelSpec, as_points, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
+
+#: The most replicates one stacked solve refits ...
+_BLOCK = 16
+#: ... and the most bytes their rows [G* | e*] take (one replicate is always
+#: allowed): under glibc's default mmap threshold, so the heap serves each stack.
+_BLOCK_BYTES = 1 << 17
 
 
 def check_integer(name: str, value) -> None:
@@ -122,26 +135,55 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     so a replicate gathers the predictor Gram in memory order; their
     multiset, and so the statistic and its resampling law, is unchanged.
     """
-    rng = replicate_stream(seed, replicate, redraw)
-    idx_x = rng.integers(0, n, size=n)
-    idx_e = rng.integers(0, n, size=n)
+    # One call of 2n draws is two calls of n: numpy buffers bounded draws in the generator's state.
+    idx_x, idx_e = replicate_stream(seed, replicate, redraw).integers(0, n, size=2 * n).reshape(2, n)
     order = np.argsort(idx_x, kind="stable")
     return idx_x[order], idx_e[order]
 
 
-def _null_draw(prep: PreparedStat, seed: int, replicate: int) -> float:
-    """n times the statistic of one null replicate, drawn from the frozen fit in ``prep``."""
+def _replicate_stat(
+    prep: PreparedStat, seed: int, replicate: int, idx_x: np.ndarray, resid: np.ndarray | None
+) -> float:
+    """n times the statistic of null replicate ``replicate``, given its predictor-row
+    indices and refit residuals, or ``None`` for a singular refit: the replicate then
+    redraws once (``redraw=1``), and a second singular refit raises :class:`BootstrapAbortError`."""
     n = prep.observed.n
-    for redraw in (0, 1):
-        idx_x, idx_e = replicate_indices(seed, replicate, n, redraw)
-        try:
-            resid = _refit_residuals(prep.design[idx_x], prep.model.centered_residuals[idx_e])
-        except SingularDesignError:
-            continue
-        return float(n * _tiled_stat(prep.gram_x, idx_x, _gaussian_tiles(resid, prep.kernel_e.bandwidth)).value)
-    raise BootstrapAbortError(
-        f"replicate {replicate}: singular refit on the draw and its one redraw; aborting"
-    )
+    if resid is None:
+        idx_x, idx_e = replicate_indices(seed, replicate, n, 1)
+        (resid,), (error,) = _refit_residuals(prep.design[idx_x][None], prep.model.centered_residuals[idx_e][None])
+        if error is not None:
+            raise BootstrapAbortError(f"replicate {replicate}: singular refit on the draw and its one redraw; aborting")
+    return float(n * _tiled_stat(prep.gram_x, idx_x, _gaussian_tiles(resid, prep.kernel_e.bandwidth)).value)
+
+
+def _null_block(prep: PreparedStat, seed: int, replicates: range) -> Iterator[float]:
+    """The null draws of ``replicates``, one at a time, from the frozen fit in ``prep``.
+
+    One stacked solve refits every member before the first draw is yielded;
+    each member's :func:`_replicate_stat` runs only when its draw is
+    consumed, so a caller that stops mid-block skips the rest.
+    """
+    n = prep.observed.n
+    idx = np.empty((len(replicates), 2, n), dtype=np.int64)
+    for pair, replicate in zip(idx, replicates):
+        pair[0], pair[1] = replicate_indices(seed, replicate, n)
+    resid, errors = _refit_residuals(prep.design[idx[:, 0]], prep.model.centered_residuals[idx[:, 1]])
+    for replicate, idx_x, member, error in zip(replicates, idx[:, 0], resid, errors):
+        yield _replicate_stat(prep, seed, replicate, idx_x, member if error is None else None)
+
+
+def _null_draws(prep: PreparedStat, seed: int, replicates: range) -> list[float]:
+    """Every null draw of one block, as a pool worker returns them."""
+    return list(_null_block(prep, seed, replicates))
+
+
+def _blocks(prep: PreparedStat, replicates: int, workers: int) -> list[range]:
+    """Replicates 0..B-1 in consecutive blocks, at least four per worker as
+    :func:`parallel_map` chunks its items, of at most :data:`_BLOCK` members
+    whose stacked design rows fit in :data:`_BLOCK_BYTES`."""
+    n, d = prep.design.shape
+    size = max(1, min(_BLOCK, -(-replicates // (4 * workers)), _BLOCK_BYTES // (8 * n * (d + 1))))
+    return [range(first, min(first + size, replicates)) for first in range(0, replicates, size)]
 
 
 #: The function a pool worker applies to each item.  Set only inside worker
@@ -213,8 +255,9 @@ def run_test(
     """Observed scaled statistic, its null draws, and the calibrated decision."""
     check_alpha(alpha)
     prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    draw = partial(_null_draw, prep, config.seed)
-    draws = np.asarray(parallel_map(draw, range(config.replicates), config.workers))
+    workers = config.workers or _usable_cpus()
+    blocks = parallel_map(partial(_null_draws, prep, config.seed), _blocks(prep, config.replicates, workers), workers)
+    draws = np.array([draw for block in blocks for draw in block])
     statistic = prep.observed.scaled
     p_value = pvalue_from_draws(draws, statistic)
     return TestResult(
@@ -253,22 +296,24 @@ def _curtailed_reject(
     float division by one positive number is monotone, so neither stop can
     disagree with it.  Replicate b is the same draw as in :func:`run_test`
     (its stream is keyed by the seed and b alone), so the decision is the
-    same too (exact curtailed sampling, Besag & Clifford 1991).  A
-    twice-singular refit raises :class:`BootstrapAbortError` only if it comes
-    before the decision is settled.  Draws run serially in this process;
+    same too (exact curtailed sampling, Besag & Clifford 1991).  Draws are
+    read from blocks member by member, so a decision settled mid-block
+    computes no later member's statistic or redraw, and a twice-singular
+    refit raises :class:`BootstrapAbortError` only if it comes before the
+    decision is settled.  Draws run serially in this process;
     ``config.workers`` is not read.
     """
     prep = prepare_stat(data, design, kernel_x, kernel_e)
-    draw = partial(_null_draw, prep, config.seed)
     statistic = prep.observed.scaled
     B = config.replicates
+    draws = (draw for block in _blocks(prep, B, 1) for draw in _null_block(prep, config.seed, block))
     exceedances = 0
     for replicate in range(B):
         if _add_one_pvalue(exceedances, B) > alpha:
             return False
         if _add_one_pvalue(exceedances + (B - replicate), B) <= alpha:
             return True
-        exceedances += draw(replicate) >= statistic
+        exceedances += next(draws) >= statistic
     return _add_one_pvalue(exceedances, B) <= alpha
 
 

@@ -2,13 +2,16 @@
 
 The regression model is linear in a user-chosen basis of the raw predictor
 coordinates: intercept, single coordinates, pairwise products and squares,
-each evaluated as one vectorized column operation.  Fitting goes through a
-stable orthogonal decomposition (SVD); the scaled normal-equations matrix is
-never inverted explicitly, but its condition number is estimated and
-reported.  A singular fit's message names the columns that look dependent,
-from a pivoted QR in ``scipy.linalg``, which is imported only to build that
-message; bootstrap replicates refit through :func:`_refit_residuals`, which
-never builds it.
+each evaluated as one vectorized column operation.  Every fit goes through
+one solver, :func:`_solve`: a Householder QR of the design with the response
+as one more column, taken for a whole stack of fits at once, so the
+normal-equations matrix is never formed; its condition number is read from
+the singular values of the R factor and reported.  :func:`fit_ols` solves a
+stack of one, and bootstrap replicates refit a block of resamples in one
+stack through :func:`_refit_residuals`, each member bit-equal to
+:func:`fit_ols` on its rows.  A singular fit's message names the columns
+that look dependent, from a pivoted QR in ``scipy.linalg``, which is
+imported only to build that message; replicate refits never build it.
 """
 from __future__ import annotations
 
@@ -151,7 +154,7 @@ class FittedModel:
 
 
 def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
-    """Least squares via SVD, with a singularity guard on the scaled Gram matrix.
+    """Least squares through a Householder QR, with a singularity guard on the scaled Gram matrix.
 
     Raises :class:`SingularDesignError` when the design is rank deficient or
     the condition number of (1/n) G'G exceeds :data:`MAX_GRAM_CONDITION`,
@@ -171,8 +174,9 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     if not (np.isfinite(G).all() and np.isfinite(y).all()):
         raise ValueError("design or response contains non-finite values")
 
-    beta, cond = _solve(G, y, explain=True)
-    fitted = G @ beta
+    (beta,), (fitted,), (cond,), (error,) = _solve(G[None], y[None], explain=True)
+    if error is not None:
+        raise error
     resid = y - fitted
     rmean = float(resid.mean())
     return FittedModel(
@@ -185,36 +189,55 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     )
 
 
-def _refit_residuals(design: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """``fit_ols(design, response).residuals`` for rows of a design ``fit_ols`` accepted.
+def _refit_residuals(designs: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray, list]:
+    """Row i of the (k, n) result is ``fit_ols(designs[i], responses[i]).residuals``.
 
-    The same solve and the same singularity rule, without re-validating
-    rows gathered from validated arrays and without the dependent-column
-    note, which a caller that redraws a singular resample would discard.
+    For (k, n, d) and (k, n) stacks of rows gathered from arrays ``fit_ols``
+    accepted, so nothing is re-validated.  Also returns, per member, ``None``
+    or the :class:`SingularDesignError` its fit raises, unraised and without
+    the dependent-column note, which a caller that redraws a singular
+    resample would discard; such a member's residuals are not to be read.
     """
-    beta, _ = _solve(design, response, explain=False)
-    return response - design @ beta
+    _, fitted, _, errors = _solve(designs, responses, explain=False)
+    return responses - fitted, errors
 
 
-def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, float]:
-    """``lstsq`` coefficients and the condition number of (1/n) G'G.
+def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Least squares of each (n, d) design in the stack ``G`` against its response in ``y``.
 
-    Raises :class:`SingularDesignError` when G is rank deficient or that
-    condition number exceeds :data:`MAX_GRAM_CONDITION`; with ``explain``
-    the message names the columns that look dependent.
+    One ``numpy.linalg.qr`` call, a Householder QR with one LAPACK call per
+    member, factors each [G | y]: the leading d x d block of its R factor is
+    G's, and the column beside it is Q'y, so beta solves R beta = Q'y and Q
+    is never formed.  R has G's singular values: a member is singular when
+    fewer than d exceed eps * max(n, d) times the largest, or when the
+    condition number (s_max / s_min)^2 of (1/n) G'G exceeds
+    :data:`MAX_GRAM_CONDITION`.  Each member's LAPACK and BLAS calls see
+    only its own rows, so its results do not depend on the rest of the stack.
+
+    Returns the coefficients (k, d), fitted values (k, n), condition numbers
+    (k,) and, per member, ``None`` or an unraised
+    :class:`SingularDesignError`, whose message names the columns that look
+    dependent with ``explain``; a singular member's fit is not to be read.
     """
-    beta, _, rank, svals = np.linalg.lstsq(G, y, rcond=None)
-    smin = float(svals[-1]) if svals.size else 0.0
-    smax = float(svals[0]) if svals.size else 0.0
-    cond = np.inf if smin == 0.0 else (smax / smin) ** 2
-    d = G.shape[1]
-    if rank < d or not cond <= MAX_GRAM_CONDITION:
-        raise SingularDesignError(
-            f"design matrix is numerically singular "
-            f"(rank {rank} of {d}, scaled Gram condition {cond:.3e})"
-            + (_dependent_columns_note(G, rank) if explain else "")
+    k, n, d = G.shape
+    factors = np.linalg.qr(np.concatenate((G, y[..., None]), axis=2), mode="r")
+    r, qty = factors[:, :d, :d], factors[:, :d, d]
+    svals = np.linalg.svd(r, compute_uv=False)
+    ranks = np.count_nonzero(svals > np.finfo(float).eps * max(n, d) * svals[:, :1], axis=1)
+    smin = svals[:, -1]
+    cond = np.divide(svals[:, 0], smin, out=np.full(k, np.inf), where=smin > 0) ** 2
+    errors = [
+        None if rank == d and c <= MAX_GRAM_CONDITION else SingularDesignError(
+            f"design matrix is numerically singular (rank {rank} of {d}, scaled Gram condition {c:.3e})"
+            + (_dependent_columns_note(G[i], rank) if explain else "")
         )
-    return beta, cond
+        for i, (rank, c) in enumerate(zip(ranks.tolist(), cond.tolist()))
+    ]
+    # An identity in place of each singular R keeps the stacked solve from failing on it.
+    singular = np.array([error is not None for error in errors])
+    r = np.where(singular[:, None, None], np.eye(d), r)
+    beta = np.linalg.solve(r, qty[..., None])
+    return beta[..., 0], np.matmul(G, beta)[..., 0], cond, errors
 
 
 def _dependent_columns_note(G: np.ndarray, rank: int) -> str:

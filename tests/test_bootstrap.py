@@ -17,6 +17,7 @@ from hsicreg import (
     DesignSpec,
     KernelSpec,
     ModelSpec,
+    SingularDesignError,
     draw_model,
     null_distribution_contrast,
     permutation_pvalue,
@@ -28,11 +29,20 @@ from hsicreg import (
     study_kernels,
     working_design,
 )
-from hsicreg.bootstrap import _curtailed_reject, _null_draw, _perm_draw, _permuted_stat, parallel_map
+from hsicreg.bootstrap import (
+    _blocks,
+    _curtailed_reject,
+    _null_block,
+    _null_draws,
+    _perm_draw,
+    _permuted_stat,
+    _replicate_stat,
+    parallel_map,
+)
 from hsicreg._rng import _KEY_BLOCK, _philox_keys, replicate_stream, substream
 from hsicreg.hsic import _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
-from hsicreg.linreg import fit_ols
+from hsicreg.linreg import _refit_residuals, fit_ols
 from test_hsic import fsum_hsic
 
 
@@ -41,6 +51,11 @@ def toy_data(seed, n=40, d0=2):
     X = rng.normal(size=(n, d0))
     y = 1.0 + X @ np.arange(1.0, d0 + 1.0) + rng.normal(size=n)
     return Dataset(X, y)
+
+
+def draw_alone(prep, seed, replicate):
+    """Null replicate ``replicate`` drawn as a block of one."""
+    return _null_draws(prep, seed, range(replicate, replicate + 1))[0]
 
 
 class TestReplicateIndices:
@@ -87,6 +102,17 @@ class TestReplicateIndices:
                 idx_x, idx_e = replicate_indices(seed, b, 97, redraw)
                 np.testing.assert_array_equal(idx_x, raw_x[order])
                 np.testing.assert_array_equal(idx_e, raw_e[order])
+
+    @pytest.mark.parametrize("n", [1, 2, 97, 200, 2**16 + 3])
+    def test_one_draw_of_2n_is_two_draws_of_n(self, n):
+        """``replicate_indices`` splits one ``integers(0, n, size=2n)`` call in halves; numpy
+        keeps its bounded-draw buffer in the generator's state, so the halves are two
+        consecutive ``integers(0, n, size=n)`` draws of the replicate's ``substream``."""
+        for seed, b, redraw in [(0, 0, 0), (7, 3, 1), (2**70, 2**32 + 1, 0)]:
+            both = replicate_stream(seed, b, redraw).integers(0, n, size=2 * n)
+            rng = substream(seed, b, redraw)
+            np.testing.assert_array_equal(both[:n], rng.integers(0, n, size=n))
+            np.testing.assert_array_equal(both[n:], rng.integers(0, n, size=n))
 
 
 class TestReplicateStream:
@@ -168,23 +194,44 @@ def test_null_draws_reproducible_and_worker_invariant():
     assert np.isfinite(one).all() and (one >= -1e-12).all()
 
 
+@pytest.mark.parametrize("replicates", [1, 15, 16, 17, 50])
+def test_blocks_draw_what_each_replicate_draws_alone(replicates):
+    """However B splits into blocks, on one worker or several, every null draw is bit-equal
+    to the replicate drawn as a block of one."""
+    data = toy_data(70)
+    design = DesignSpec.main_effects(2)
+    kx, ke = KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4)
+    prep = prepare_stat(data, design, kx, ke)
+    alone = [draw_alone(prep, 6, b) for b in range(replicates)]
+    for workers in (1, 2, 3):
+        blocks = _blocks(prep, replicates, workers)
+        assert [b for block in blocks for b in block] == list(range(replicates))
+        assert max(map(len, blocks)) <= 16
+        result = run_test(data, design, kx, ke, BootstrapConfig(replicates=replicates, seed=6, workers=workers))
+        assert result.null_draws.tolist() == alone, workers
+    if replicates == 50:
+        assert [len(block) for block in _blocks(prep, 50, 2)] == [7] * 7 + [1]
+
+
 def _prepared_for(data, design):
     return prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4))
 
 
 def test_replicate_allocates_no_n_by_n_array():
-    """Replicates work in the tiled kernel's own T*n + 2*T^2 floats.
+    """Replicates work in the tiled kernel's own T*n + 2*T^2 floats and their block's stacks.
 
-    numpy reports its data buffers to tracemalloc, so the traced peak over a
-    first replicate and ten more at n = 2000 must stay below a fifth of one
-    n x n float64 array.
+    numpy reports its data buffers to tracemalloc, so the traced peak over
+    the blocks of 16 replicates at n = 2000, as a test draws them, must stay
+    below a fifth of one n x n float64 array.
     """
     n = 2000
     prep = _prepared_for(toy_data(72, n=n, d0=4), DesignSpec.main_effects(4))
+    blocks = _blocks(prep, 16, 1)
+    assert sum(map(len, blocks)) == 16
     tracemalloc.start()
     try:
-        for b in range(11):
-            _null_draw(prep, 3, b)
+        for block in blocks:
+            _null_draws(prep, 3, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,17 +242,19 @@ def test_replicate_allocates_no_n_by_n_array():
 def test_replicates_reuse_their_work_memory():
     """A replicate at n = 200 asks for 128 x 200 and two 128 x 128 float arrays, each at
     least 128 KiB.  Made afresh, glibc hands them back to the kernel on free and the next
-    replicate faults them in again, about a hundred pages; reused, none."""
+    replicate faults them in again, about a hundred pages; reused, none.  A block's
+    stacks stay under 128 KiB each, so the heap serves them without faults either."""
     import resource
 
     n = 200
     prep = _prepared_for(toy_data(73, n=n, d0=4), DesignSpec.main_effects(4))
-    for b in range(10):
-        _null_draw(prep, 5, b)
+    first, *blocks = _blocks(prep, 210, 1)
+    _null_draws(prep, 5, first)
+    measured = sum(map(len, blocks))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for b in range(10, 210):
-        _null_draw(prep, 5, b)
-    per_replicate = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200
+    for block in blocks:
+        _null_draws(prep, 5, block)
+    per_replicate = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / measured
     assert per_replicate < 2, f"{per_replicate:.1f} minor faults per replicate"
 
 
@@ -223,7 +272,7 @@ def test_a_public_call_frees_its_work_memory(entry):
         "hsic_vstat": lambda: hsic_vstat(*(gram_matrix(x, KernelSpec()) for x in (data.predictors, data.response))),
         "contrast": lambda: null_distribution_contrast(ModelSpec("linear1d", n=150), *study_kernels(1), 25, seed=0),
     }
-    _null_draw(prepare_stat(*args), 0, 0)
+    draw_alone(prepare_stat(*args), 0, 0)
     assert _work_memory.arrays
     calls[entry]()
     assert _work_memory.arrays == ()
@@ -264,12 +313,13 @@ def test_replicates_equal_fsum_oracle_on_gathered_grams():
     on the gathered predictor Gram and the refit residuals' Gram."""
     n = 300
     prep = _prepared_for(toy_data(74, n=n, d0=3), DesignSpec.main_effects(3))
+    draws = _null_draws(prep, 5, range(6))
     for b in range(6):
         idx_x, idx_e = replicate_indices(5, b, n)
         refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
         gram_x = prep.gram_x[np.ix_(idx_x, idx_x)]
         want = n * fsum_hsic(gram_x, gram_matrix(refit.residuals, prep.kernel_e))
-        assert _null_draw(prep, 5, b) == pytest.approx(want, rel=1e-10), b
+        assert draws[b] == pytest.approx(want, rel=1e-10), b
 
 
 def test_null_draw_matches_oracle_on_raw_pairs():
@@ -281,6 +331,7 @@ def test_null_draw_matches_oracle_on_raw_pairs():
         design = DesignSpec.main_effects(3)
         beta_hat = prepare_stat(data, design, KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4)).model.beta_hat
         prep = _prepared_for(data, design)
+        draws = _null_draws(prep, 8, range(reps))
         for b in range(reps):
             rng = substream(8, b, 0)
             idx_x = rng.integers(0, n, size=n)
@@ -288,7 +339,7 @@ def test_null_draw_matches_oracle_on_raw_pairs():
             G = prep.design[idx_x]
             refit = fit_ols(G, G @ beta_hat + prep.model.centered_residuals[idx_e])
             want = n * fsum_hsic(prep.gram_x[np.ix_(idx_x, idx_x)], gram_matrix(refit.residuals, prep.kernel_e))
-            assert _null_draw(prep, 8, b) == pytest.approx(want, rel=1e-10), (n, b)
+            assert draws[b] == pytest.approx(want, rel=1e-10), (n, b)
 
 
 def test_no_replicate_calls_center_gram(monkeypatch):
@@ -307,7 +358,7 @@ def test_no_replicate_calls_center_gram(monkeypatch):
     centered_v = center_gram(gram_matrix(rng.normal(size=50), KernelSpec()))
     for module in ("hsicreg.kernels", "hsicreg.bootstrap"):
         monkeypatch.setattr(f"{module}.center_gram", counted)
-    _null_draw(prep, 4, 0)
+    _null_draws(prep, 4, range(3))
     _perm_draw(gram_u, centered_v, 4, 0)
     assert calls == []
 
@@ -485,7 +536,7 @@ class TestSingularReplicates:
             b for b in range(500)
             if not self._includes_row0(seed, b, 0) and self._includes_row0(seed, b, 1)
         )
-        value = _null_draw(prep, seed, rescued)
+        value = draw_alone(prep, seed, rescued)
         assert np.isfinite(value)
 
     def test_two_singular_resamples_abort(self):
@@ -496,18 +547,48 @@ class TestSingularReplicates:
             if not self._includes_row0(seed, b, 0) and not self._includes_row0(seed, b, 1)
         )
         with pytest.raises(BootstrapAbortError, match="redraw"):
-            _null_draw(prep, seed, doomed)
+            draw_alone(prep, seed, doomed)
+
+    def test_a_stack_flags_exactly_its_singular_members(self):
+        """One stacked refit of resamples with and without row 0 flags those without it,
+        raises nothing, and leaves the regular members' residuals those of ``fit_ols``."""
+        seed = 0
+        prep = self._prepared()
+        rows = np.array([replicate_indices(seed, b, 6) for b in range(40)])
+        singular = [0 not in idx_x for idx_x in rows[:, 0]]
+        assert any(singular) and not all(singular)
+        resid, errors = _refit_residuals(prep.design[rows[:, 0]], prep.model.centered_residuals[rows[:, 1]])
+        assert [error is not None for error in errors] == singular
+        assert all(isinstance(error, SingularDesignError) for error in errors if error is not None)
+        for (idx_x, idx_e), member, flag in zip(rows, resid, singular):
+            if not flag:
+                refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
+                np.testing.assert_array_equal(member, refit.residuals)
+
+    def test_a_block_redraws_and_aborts_only_where_it_is_read(self):
+        """A block refits its members together but redraws, or aborts on, a singular
+        member only when that member's draw is consumed."""
+        seed = 0
+        prep = self._prepared()
+        doomed = next(
+            b for b in range(1, 500)
+            if not self._includes_row0(seed, b, 0) and not self._includes_row0(seed, b, 1)
+        )
+        block = _null_block(prep, seed, range(doomed - 1, doomed + 1))
+        assert next(block) == draw_alone(prep, seed, doomed - 1)
+        with pytest.raises(BootstrapAbortError, match=f"replicate {doomed}:"):
+            next(block)
 
 
-def _recording(monkeypatch, draw=_null_draw):
-    """Route every null replicate through ``draw``; returns the replicate indices drawn."""
+def _recording(monkeypatch, draw=_replicate_stat):
+    """Route every null replicate's statistic through ``draw``; returns the replicate indices drawn."""
     drawn = []
 
-    def recorded(prep, seed, replicate):
+    def recorded(prep, seed, replicate, *member):
         drawn.append(replicate)
-        return draw(prep, seed, replicate)
+        return draw(prep, seed, replicate, *member)
 
-    monkeypatch.setattr(hsicreg.bootstrap, "_null_draw", recorded)
+    monkeypatch.setattr(hsicreg.bootstrap, "_replicate_stat", recorded)
     return drawn
 
 
@@ -574,7 +655,7 @@ class TestCurtailedReject:
         observed = prepare_stat(data, *args[:3]).observed.scaled
         exceedances = max(k + extra, 0)
         hits = set(range(1, 2 * exceedances, 2))  # ties with the statistic count
-        drawn = _recording(monkeypatch, lambda prep, seed, b: observed if b in hits else -1.0)
+        drawn = _recording(monkeypatch, lambda prep, seed, b, *member: observed if b in hits else -1.0)
 
         decision = _curtailed_reject(data, *args, alpha)
         evaluated = list(drawn)
@@ -590,7 +671,7 @@ class TestCurtailedReject:
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19, seed=0))
 
         def draws(settle_at, abort_at):
-            def draw(prep, seed, b):
+            def draw(prep, seed, b, *member):
                 if b == abort_at:
                     raise BootstrapAbortError(f"replicate {b}: singular twice")
                 return np.inf if b == settle_at else -1.0
@@ -638,6 +719,35 @@ class TestCurtailedReject:
             else:
                 assert curtailed == full
         assert False in seen and "abort" in seen
+
+    def test_twice_singular_member_past_the_stop_in_the_same_block(self, monkeypatch):
+        """The block that settles a trial also refits members after the stop; one of them
+        singular on its draw and its redraw aborts run_test, but not the curtailed trial."""
+        x = np.arange(1.0, 7.0)
+        spike = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        data = Dataset(np.column_stack([x, spike]), np.array([2.0, 1.0, 3.0, 2.5, 4.0, 3.5]))
+        args = (data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+        prep = prepare_stat(*args)
+        row0 = lambda seed, b, redraw: 0 in replicate_indices(seed, b, 6, redraw)[0]
+        drawn = _recording(monkeypatch)
+        found = 0
+        for seed in range(60):
+            config = BootstrapConfig(replicates=19, seed=seed)
+            drawn.clear()
+            try:
+                decision = _curtailed_reject(*args, config, 0.05)
+            except BootstrapAbortError:
+                continue
+            stop = len(drawn)
+            block = next(block for block in _blocks(prep, 19, 1) if stop - 1 in block)
+            doomed = [b for b in block if b >= stop and not row0(seed, b, 0) and not row0(seed, b, 1)]
+            if not doomed:
+                continue
+            assert decision is False and drawn == list(range(stop))
+            with pytest.raises(BootstrapAbortError, match=f"replicate {doomed[0]}:"):
+                run_test(*args, config, 0.05)
+            found += 1
+        assert found
 
     def test_run_test_still_draws_every_replicate(self, monkeypatch):
         """A null trial settles early, but run_test reports all B draws and their p-value."""

@@ -142,29 +142,34 @@ def test_fit_ols_condition_number_of_known_design():
 
 @pytest.mark.parametrize("n", [100, 200, 1000])
 def test_refit_residuals_bit_equal_to_fit_ols(n):
-    """The replicate refit gives ``fit_ols``'s residuals bit for bit on resampled rows."""
+    """Every member of a stacked replicate refit gives ``fit_ols``'s residuals bit for bit on
+    its resampled rows, in a stack of 16 as in a stack of one."""
     rng = np.random.default_rng(40 + n)
     G = np.column_stack([np.ones(n), rng.uniform(size=(n, 4))])
     e = rng.normal(size=n)
-    for _ in range(50):
-        rows, errs = rng.integers(0, n, size=n), rng.integers(0, n, size=n)
-        assert np.array_equal(_refit_residuals(G[rows], e[errs]), fit_ols(G[rows], e[errs]).residuals)
+    rows, errs = rng.integers(0, n, size=(2, 50, n))
+    for first, count in ((0, 16), (16, 16), (32, 1), (33, 16), (49, 1)):
+        stack = slice(first, first + count)
+        resid, errors = _refit_residuals(G[rows[stack]], e[errs[stack]])
+        assert resid.shape == (count, n) and errors == [None] * count
+        for i in range(count):
+            assert np.array_equal(resid[i], fit_ols(G[rows[first + i]], e[errs[first + i]]).residuals)
 
 
 def test_refit_residuals_keeps_the_singularity_rule_without_the_note():
-    """Rank deficiency and the condition limit raise as in ``fit_ols``, whose
-    message only adds the note naming the dependent columns."""
+    """Rank deficiency and the condition limit flag a refit with the error ``fit_ols``
+    raises, whose message only adds the note naming the dependent columns."""
     rng = np.random.default_rng(35)
     x = rng.normal(size=40)
     y = rng.normal(size=40)
     notes = []
     for G in (np.column_stack([np.ones(40), x, x]), np.column_stack([x, x + 1e-9 * rng.normal(size=40)])):
-        with pytest.raises(SingularDesignError) as refit:
-            _refit_residuals(G, y)
+        _, (refit,) = _refit_residuals(G[None], y[None])
+        assert isinstance(refit, SingularDesignError)
         with pytest.raises(SingularDesignError) as fit:
             fit_ols(G, y)
-        assert str(fit.value).startswith(str(refit.value))
-        notes.append(str(fit.value)[len(str(refit.value)):])
+        assert str(fit.value).startswith(str(refit))
+        notes.append(str(fit.value)[len(str(refit)):])
     assert notes == ["; columns [2] look linearly dependent on the others", ""]
 
 

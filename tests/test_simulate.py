@@ -237,12 +237,12 @@ class TestPowerStudy:
     @pytest.mark.parametrize("abort_at, aborts", [(1, 0), (0, 3)], ids=["after-stop", "before-stop"])
     def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch, abort_at, aborts):
         """With B = 19 the first draw at or above the statistic settles a trial (it accepts)."""
-        def draw(prep, seed, replicate):
+        def draw(prep, seed, replicate, *member):
             if replicate == abort_at:
                 raise BootstrapAbortError(f"replicate {replicate}: singular twice")
             return np.inf
 
-        monkeypatch.setattr(hsicreg.bootstrap, "_null_draw", draw)
+        monkeypatch.setattr(hsicreg.bootstrap, "_replicate_stat", draw)
         table = power_study([ModelSpec("linear1d", n=20)], 0.05, BootstrapConfig(replicates=19, seed=0), reps=3)
         assert (table.cells[0].aborts, table.cells[0].rejections) == (aborts, 0)
 
