@@ -26,8 +26,8 @@ re-standardized and never re-resolve a median bandwidth.  A replicate reads the
 n x n: it passes its predictor-row indices, refit residuals and the resolved
 residual bandwidth to the tiled statistic (:func:`hsicreg.hsic._tiled_stat`),
 the same kernel that computed the observed statistic, which reads the frozen
-predictor Gram and works in T*n + 2*T^2 floats that its thread reuses from
-one replicate to the next and frees when the test returns.  Every draw, a
+predictor Gram and works in T*n + 2*T^2 + 4*n floats that its thread reuses
+from one replicate to the next and frees when the test returns.  Every draw, a
 replicate's or a permutation's, re-keys its thread's one Philox generator
 (:func:`hsicreg._rng.replicate_stream`) to its stream instead of building a
 generator: ``substream(seed, replicate, redraw)`` for a replicate,

@@ -13,7 +13,14 @@ harness's (predictor, residual) pair, which needs the data's dimension d that
 a constructor lacks; its docstring gives their rationale.
 
 Every accumulation is plain float64 at every n, so results do not depend on
-the platform's ``long double`` width.
+the platform's ``long double`` width.  Points are divided by the bandwidth
+once, and each coordinate's difference block is the rank-2 product
+``[x_I, -1] @ [1; x_J]`` (:func:`_difference_operands`), a third of the cost
+of numpy's broadcast subtraction.  Both terms of an entry multiply by +-1 and
+are exact, so the entry is the one correctly rounded x_i - x_j whatever the
+BLAS kernel, its FMA use or its thread count: bit-equal to
+``np.subtract.outer``, except that (-0) - (+0) gives +0, which the squaring
+that follows cannot tell from -0.
 
 The median rule's pairwise distances come from ``scipy.spatial``, which is
 imported on the rule's first use: importing this module loads numpy alone.
@@ -140,18 +147,19 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
     strips of ``_TILE`` rows, so a build temporary (p > 1) is one ``_TILE`` x n strip.
 
     The result is exactly symmetric with an exact unit diagonal, and bit-equal
-    to one ``_gram_tile`` over all pairs.  Before the matrix is allocated, its
-    bytes are checked against the process's memory limit (see
-    :func:`_check_gram_fits`).
+    to ``exp(-squareform(pdist(points / bandwidth, "sqeuclidean")))``.  Before
+    the matrix is allocated, its bytes are checked against the process's
+    memory limit (see :func:`_check_gram_fits`).
     """
     pts = as_points(points)
     n = pts.shape[0]
     bandwidth = resolve_bandwidth(spec, pts).bandwidth
     _check_gram_fits(n)
+    left, right = _difference_operands(pts / bandwidth)
     K = np.empty((n, n))
     for top in range(0, n, _TILE):
         strip = slice(top, top + _TILE)
-        _gram_tile(pts[strip], pts, bandwidth, K[strip])
+        _gram_tile(left[:, strip], right, K[strip])
     return K
 
 
@@ -206,25 +214,39 @@ def _check_gram_fits(n: int) -> None:
         )
 
 
-def _gram_tile(left: np.ndarray, right: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
-    """The Gram block between (m, p) row blocks ``left`` and ``right``, written into ``out``.
+def _difference_operands(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (p, n, 2) stack of [x_j, -1] and the (p, 2, n) stack of [1; x_j] for the
+    coordinates x_j of (n, p) points already divided by the bandwidth: the
+    product of their slices at rows I and columns J is coordinate j's
+    difference block x_Ij - x_Jj.  A caller builds them once, not per tile."""
+    left = np.empty((scaled.shape[1], scaled.shape[0], 2))
+    left[:, :, 0] = scaled.T
+    left[:, :, 1] = -1.0
+    right = np.ones((scaled.shape[1], 2, scaled.shape[0]))
+    right[:, 1] = scaled.T
+    return left, right
 
-    Squared distances are summed one coordinate at a time, in coordinate
+
+def _gram_tile(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Gram block between the rows of ``left`` and the columns of ``right``, slices of
+    :func:`_difference_operands` of prescaled points, written into ``out``.
+
+    Squared differences are summed one coordinate at a time, in coordinate
     order, exactly as ``pdist(points, "sqeuclidean")`` sums them, so the bits
-    match the pairwise-distance construction, and the tile of
-    ``points[I], points[J]`` is bit-equal to block [I, J] of
-    :func:`gram_matrix`.  With p > 1, one temporary the shape of ``out`` is
-    allocated for the per-coordinate terms; :func:`gram_matrix` passes strips
-    of ``_TILE`` rows, so there it is one strip, never n x n.
+    match the pairwise-distance construction, and the tile of rows I and
+    columns J is bit-equal to block [I, J] of :func:`gram_matrix`.  With
+    p > 1, one temporary the shape of ``out`` is allocated for the
+    per-coordinate terms; :func:`gram_matrix` passes strips of ``_TILE``
+    rows, so there it is one strip, never n x n.
     """
-    np.subtract.outer(left[:, 0], right[:, 0], out=out)
+    np.matmul(left[0], right[0], out=out)
     np.multiply(out, out, out=out)
-    term = np.empty_like(out) if left.shape[1] > 1 else None
-    for j in range(1, left.shape[1]):
-        np.subtract.outer(left[:, j], right[:, j], out=term)
+    term = np.empty_like(out) if len(left) > 1 else None
+    for j in range(1, len(left)):
+        np.matmul(left[j], right[j], out=term)
         np.multiply(term, term, out=term)
         np.add(out, term, out=out)
-    np.divide(out, -(bandwidth * bandwidth), out=out)
+    np.negative(out, out=out)
     return np.exp(out, out=out)
 
 

@@ -218,7 +218,7 @@ def _prepared_for(data, design):
 
 
 def test_replicate_allocates_no_n_by_n_array():
-    """Replicates work in the tiled kernel's own T*n + 2*T^2 floats and their block's stacks.
+    """Replicates work in the tiled kernel's own T*n + 2*T^2 + 4*n floats and their block's stacks.
 
     numpy reports its data buffers to tracemalloc, so the traced peak over
     the blocks of 16 replicates at n = 2000, as a test draws them, must stay

@@ -163,8 +163,8 @@ class TestTestCommand:
         assert payload["statistic"] >= 0.0
 
     def test_blas_threads_do_not_change_the_bytes(self, tmp_path):
-        """The statistic makes no BLAS call, so the artifact is the same under
-        one and two BLAS threads; n = 300 spans three statistic tiles."""
+        """The statistic's only BLAS calls are exact rank-2 products, so the artifact is
+        the same under one and two BLAS threads; n = 300 spans three statistic tiles."""
         src = Path(hsicreg.__file__).resolve().parent.parent
         artifacts = []
         for threads in ("1", "2"):

@@ -253,9 +253,9 @@ class TestTiledStat:
         kernel = KernelSpec(bandwidth=0.9)
         tiles = []
 
-        def recorded(left, right, bandwidth, out):
-            tile = _gram_tile(left, right, bandwidth, out)
-            tiles.append((left[:, 0].copy(), right[:, 0].copy(), tile.copy()))
+        def recorded(left, right, out):
+            tile = _gram_tile(left, right, out)
+            tiles.append((left[0, :, 0].copy(), right[0, 1].copy(), tile.copy()))
             return tile
 
         monkeypatch.setattr("hsicreg.hsic._gram_tile", recorded)
@@ -267,7 +267,9 @@ class TestTiledStat:
         assert len(tiles) == len(want)
         for (top, left), (rows, cols, tile) in zip(want, tiles):
             block = (slice(top, top + _TILE), slice(left, left + _TILE))
-            assert np.array_equal(rows, points[block[0]]) and np.array_equal(cols, points[block[1]])
+            # The operands hold the points divided by the bandwidth.
+            scaled = points / kernel.bandwidth
+            assert np.array_equal(rows, scaled[block[0]]) and np.array_equal(cols, scaled[block[1]])
             assert np.array_equal(tile, L[block]), (top, left)
 
 

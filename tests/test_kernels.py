@@ -4,12 +4,15 @@ import dataclasses
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
+import hsicreg
 from hsicreg import (
     Dataset,
     DegenerateDataError,
@@ -22,7 +25,7 @@ from hsicreg import (
     resolve_bandwidth,
 )
 from hsicreg.hsic import prepare_stat
-from hsicreg.kernels import _TILE, MEDIAN, _gram_tile, _memory_limit, as_points
+from hsicreg.kernels import _TILE, MEDIAN, _difference_operands, _gram_tile, _memory_limit, as_points
 
 
 def gaussian_kernel(u, v, bandwidth: float) -> float:
@@ -162,12 +165,23 @@ def test_gram_matrix_one_dimensional_input():
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("n", [2, 57, 1000])
 def test_gram_matrix_bits_match_pairwise_distance_construction(n, p):
-    """Per-coordinate differences summed in pdist's order give the same bits."""
+    """Points divided by the bandwidth once, then per-coordinate differences summed in
+    pdist's order, give the bits of pdist on the prescaled points: exactly symmetric,
+    with a unit diagonal."""
     rng = np.random.default_rng(13 + n + p)
     pts = rng.normal(size=(n, p)) * 3.0
     bw = 1.7
-    want = np.exp(-squareform(pdist(pts, "sqeuclidean")) / bw**2)
-    assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=bw)), want)
+    want = np.exp(-squareform(pdist(pts / bw, "sqeuclidean")))
+    got = gram_matrix(pts, KernelSpec(bandwidth=bw))
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == got.T.copy().tobytes()
+    assert np.array_equal(np.diag(got), np.ones(n))
+
+
+def _one_tile(pts: np.ndarray, bandwidth: float) -> np.ndarray:
+    """One ``_gram_tile`` over every pair of ``pts``."""
+    left, right = _difference_operands(pts / bandwidth)
+    return _gram_tile(left, right, np.empty((len(pts), len(pts))))
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 7])
@@ -175,8 +189,78 @@ def test_gram_matrix_bits_match_pairwise_distance_construction(n, p):
 def test_strip_build_equals_one_tile_over_all_pairs(n, p):
     """Strips of _TILE rows give the bits of one _gram_tile over every pair."""
     pts = np.random.default_rng(17 + n + p).normal(size=(n, p))
-    want = _gram_tile(pts, pts, 1.3, np.empty((n, n)))
-    assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=1.3)), want)
+    assert np.array_equal(gram_matrix(pts, KernelSpec(bandwidth=1.3)), _one_tile(pts, 1.3))
+
+
+def _rank2_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i - y_j through the operands a Gram tile multiplies."""
+    left, _ = _difference_operands(x[:, None])
+    _, right = _difference_operands(y[:, None])
+    return np.matmul(left[0], right[0])
+
+
+_EXTREMES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, -1e-300, 1.0, -1.5,
+    np.nextafter(1.0, 2.0), 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+])
+
+
+class TestRank2Difference:
+    """The difference block is a product whose terms multiply by +-1, so each entry is
+    the one correctly rounded difference, bit for bit, whatever BLAS does."""
+
+    @staticmethod
+    def assert_bits_equal_to_subtract_outer(x, y):
+        with np.errstate(over="ignore"):
+            got, want = _rank2_difference(x, y), np.subtract.outer(x, y)
+        same = got.view(np.int64) == want.view(np.int64)
+        # The one pair a product cannot reproduce: (-0) - (+0) is -0, and a sum of
+        # products started from +0 gives +0.  A Gram tile squares it next.
+        zero_pair = np.signbit(x)[:, None] & ~np.signbit(y)[None, :] & (x[:, None] == 0) & (y[None, :] == 0)
+        assert np.array_equal(same, ~zero_pair)
+        assert np.all(got[zero_pair] == 0.0) and not np.signbit(got[zero_pair]).any()
+
+    def test_extremes_signed_zeros_and_subnormals(self):
+        self.assert_bits_equal_to_subtract_outer(_EXTREMES, _EXTREMES[::-1].copy())
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 15), (15, 1)])
+    def test_one_row_and_one_column_shapes(self, shape):
+        self.assert_bits_equal_to_subtract_outer(_EXTREMES[: shape[0]], _EXTREMES[::-1][: shape[1]].copy())
+
+    def test_magnitudes_from_1e_minus_300_to_1e300(self):
+        rng = np.random.default_rng(19)
+        x, y = (rng.normal(size=size) * 10.0 ** rng.integers(-300, 301, size=size) for size in (200, 300))
+        self.assert_bits_equal_to_subtract_outer(x, y)
+
+    def test_strided_column_slices(self):
+        """The operands of a strided column of a point array, and tiles sliced from them."""
+        pts = np.random.default_rng(20).normal(size=(300, 3)) * 1e3
+        left, right = _difference_operands(pts)
+        for j in range(3):
+            for rows, cols in ((slice(0, 128), slice(128, 256)), (slice(256, 300), slice(0, 300))):
+                assert np.matmul(left[j, rows], right[j][:, cols]).tobytes() == \
+                    np.subtract.outer(pts[rows, j], pts[cols, j]).tobytes()
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    """The Gram and the statistic kernel are the same bytes under one and two BLAS threads."""
+    script = (
+        "import hashlib, numpy as np\n"
+        "from hsicreg import KernelSpec, gram_matrix\n"
+        "from hsicreg.hsic import _gaussian_tiles, _tiled_stat\n"
+        "rng = np.random.default_rng(21)\n"
+        "K = gram_matrix(rng.normal(size=(1000, 4)), KernelSpec(4.0))\n"
+        "idx = np.sort(rng.integers(0, 1000, size=1000))\n"
+        "value = _tiled_stat(K, idx, _gaussian_tiles(rng.normal(size=1000), 2**0.5)).value\n"
+        "print(hashlib.sha256(K.tobytes() + np.float64(value).tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(hsicreg.__file__))
+    digests = {
+        subprocess.run([sys.executable, "-c", script], check=True, capture_output=True, text=True, timeout=300,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}).stdout
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
 
 
 def test_strip_build_resolves_the_median_rule_once(monkeypatch):
@@ -191,7 +275,7 @@ def test_strip_build_resolves_the_median_rule_once(monkeypatch):
     monkeypatch.setattr("hsicreg.kernels.median_heuristic", counted)
     got = gram_matrix(pts, KernelSpec(MEDIAN))
     assert calls == [1]
-    assert np.array_equal(got, _gram_tile(pts, pts, bandwidth, np.empty((300, 300))))
+    assert np.array_equal(got, _one_tile(pts, bandwidth))
 
 
 class TestMemoryGuard:
