@@ -16,7 +16,7 @@ from .bootstrap import (
     run_test,
 )
 from .errors import BootstrapAbortError, DegenerateDataError, MemoryLimitError, SingularDesignError
-from .hsic import HsicValue, hsic_sums, hsic_vstat, residual_hsic_stat
+from .hsic import HsicValue, hsic_sums, hsic_vstat
 from .kernels import (
     KernelSpec,
     center_gram,
@@ -30,14 +30,12 @@ from .linreg import (
     Dataset,
     DesignSpec,
     FittedModel,
-    StandardizeInfo,
     coordinate,
     fit_ols,
     intercept,
     product,
     square,
     standardize,
-    standardize_dataset,
 )
 from .simulate import (
     ContrastResult,
@@ -76,7 +74,6 @@ __all__ = [
     "PowerTable",
     "SimulatedData",
     "SingularDesignError",
-    "StandardizeInfo",
     "TestResult",
     "center_gram",
     "coordinate",
@@ -94,7 +91,6 @@ __all__ = [
     "product",
     "pvalue_from_draws",
     "replicate_indices",
-    "residual_hsic_stat",
     "resolve_bandwidth",
     "run_test",
     "simulate_linear1d",
@@ -102,7 +98,6 @@ __all__ = [
     "simulate_model2",
     "square",
     "standardize",
-    "standardize_dataset",
     "study_kernels",
     "working_design",
 ]

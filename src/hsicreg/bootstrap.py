@@ -24,9 +24,9 @@ Kernels and bandwidths are frozen from the original fit; replicates are never
 re-standardized and never re-resolve a median bandwidth.  A replicate reads the
 :class:`~hsicreg.hsic.PreparedStat` of the original fit and gathers nothing
 n x n: it passes its predictor-row indices, refit residuals and the resolved
-residual bandwidth to the tiled statistic (:func:`hsicreg.hsic._tiled_stat`),
-the same kernel that computed the observed statistic, which reads the frozen
-predictor Gram and works in T*n + 2*T^2 + 4*n floats that its thread reuses
+residual bandwidth to :func:`hsicreg.hsic._residual_stat`, the one statistic
+entry, which also computed the observed statistic; its tiled kernel reads the
+frozen predictor Gram and works in T*n + 2*T^2 + 4*n floats that its thread reuses
 from one replicate to the next and frees when the test returns.  Every draw, a
 replicate's or a permutation's, re-keys its thread's one Philox generator
 (:func:`hsicreg._rng.replicate_stream`) to its stream instead of building a
@@ -56,7 +56,7 @@ import numpy as np
 
 from ._rng import replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _freed_work_memory, _gaussian_tiles, _tiled_stat, _work_arrays, prepare_stat
+from .hsic import PreparedStat, _freed_work_memory, _residual_stat, _work_arrays, prepare_stat
 from .kernels import _TILE, KernelSpec, as_points, center_gram, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
@@ -153,7 +153,7 @@ def _replicate_stat(
         (resid,), (error,) = _refit_residuals(prep.design[idx_x][None], prep.model.centered_residuals[idx_e][None])
         if error is not None:
             raise BootstrapAbortError(f"replicate {replicate}: singular refit on the draw and its one redraw; aborting")
-    return float(n * _tiled_stat(prep.gram_x, idx_x, _gaussian_tiles(resid, prep.kernel_e.bandwidth)).value)
+    return _residual_stat(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth).scaled
 
 
 def _null_block(prep: PreparedStat, seed: int, replicates: range) -> Iterator[float]:
@@ -283,7 +283,8 @@ def _curtailed_reject(
     design: DesignSpec,
     kernel_x: KernelSpec,
     kernel_e: KernelSpec,
-    config: BootstrapConfig,
+    replicates: int,
+    seed: int,
     alpha: float,
 ) -> bool:
     """``run_test(...).reject``, drawing replicates 0, 1, ... only until it is settled.
@@ -300,13 +301,12 @@ def _curtailed_reject(
     read from blocks member by member, so a decision settled mid-block
     computes no later member's statistic or redraw, and a twice-singular
     refit raises :class:`BootstrapAbortError` only if it comes before the
-    decision is settled.  Draws run serially in this process;
-    ``config.workers`` is not read.
+    decision is settled.  Draws run serially in this process.
     """
     prep = prepare_stat(data, design, kernel_x, kernel_e)
     statistic = prep.observed.scaled
-    B = config.replicates
-    draws = (draw for block in _blocks(prep, B, 1) for draw in _null_block(prep, config.seed, block))
+    B = replicates
+    draws = (draw for block in _blocks(prep, B, 1) for draw in _null_block(prep, seed, block))
     exceedances = 0
     for replicate in range(B):
         if _add_one_pvalue(exceedances, B) > alpha:

@@ -3,9 +3,10 @@
 One kernel, :func:`_tiled_stat`, computes every statistic the package reports
 except the permutation baseline's: n^-2 tr(HAH HBH) for a gathered, read-only
 Gram A and a second Gram B read in upper T x T tiles from a tile source.  There
-are two sources: Gaussian tiles of 1-D points (:func:`_gaussian_tiles`, for the
-observed statistic of :func:`prepare_stat`, every bootstrap replicate and the
-contrast's error arm) and slices of a precomputed Gram (:func:`hsic_vstat`).
+are two sources: Gaussian tiles of 1-D points (:func:`_residual_stat`, the one
+path from a residual vector to the statistic: the observed statistic of
+:func:`prepare_stat`, every bootstrap replicate and the contrast's error arm)
+and slices of a precomputed Gram (:func:`hsic_vstat`).
 The explicit three-sum form :func:`hsic_sums` is kept as the oracle: the two
 are tested against each other and against literal nested-loop sums, and
 neither may be defined through the other.  Every sum is plain float64, and
@@ -23,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _TILE, KernelSpec, _difference_operands, _gram_tile, gram_matrix, resolve_bandwidth
-from .linreg import Dataset, DesignSpec, FittedModel, StandardizeInfo, evaluate_design, fit_ols, standardize_dataset
+from .linreg import Dataset, DesignSpec, FittedModel, evaluate_design, fit_ols
+from .linreg import standardize as standardize_columns
 
 
 @dataclass(frozen=True)
@@ -116,14 +118,6 @@ def hsic_vstat(K, L) -> HsicValue:
     return _tiled_stat(L, np.arange(n), lambda rows, cols, out: K[rows, cols])
 
 
-def _gaussian_tiles(points: np.ndarray, bandwidth: float) -> Callable:
-    """Gram tiles of n 1-D ``points`` at a resolved ``bandwidth``, each bit-equal to its block
-    of :func:`~hsicreg.kernels.gram_matrix`, since both prescale the points the same way and
-    build tiles with ``_gram_tile``; the operands are built once, here."""
-    left, right = _difference_operands((points / bandwidth).reshape(-1, 1))
-    return lambda rows, cols, out: _gram_tile(left[:, rows], right[:, :, cols], out)
-
-
 def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:
     """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L read from ``tile``, tile by tile.
 
@@ -181,6 +175,16 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:
     return HsicValue(float(total / n**2), n)
 
 
+def _residual_stat(gram_x: np.ndarray, idx: np.ndarray, residuals: np.ndarray, bandwidth: float) -> HsicValue:
+    """The statistic between the predictor rows ``idx`` of ``gram_x`` and n 1-D ``residuals``
+    under a Gaussian kernel of resolved ``bandwidth``: the one path from a residual vector to
+    the statistic.  Each residual Gram tile is bit-equal to its block of
+    :func:`~hsicreg.kernels.gram_matrix`, since both prescale the points the same way and
+    build tiles with ``_gram_tile``; the operands are built once, here."""
+    left, right = _difference_operands((residuals / bandwidth).reshape(-1, 1))
+    return _tiled_stat(gram_x, idx, lambda rows, cols, out: _gram_tile(left[:, rows], right[:, :, cols], out))
+
+
 def hsic_sums(K, L) -> HsicValue:
     """The same estimate through the literal three-sum form.
 
@@ -209,7 +213,7 @@ class PreparedStat:
     kernel_e: KernelSpec
     gram_x: np.ndarray
     observed: HsicValue
-    scales: StandardizeInfo | None  # None when the data were used unstandardized
+    response_sd: float  # the response's sample sd when standardized, else 1.0
 
 
 @_freed_work_memory()
@@ -220,10 +224,18 @@ def prepare_stat(
     kernel_e: KernelSpec,
     standardize: bool = True,
 ) -> PreparedStat:
-    """Standardize (optionally), fit, resolve bandwidths, and compute the statistic once."""
-    scales = None
+    """Standardize (optionally), fit, resolve bandwidths, and compute the statistic once.
+
+    Variables are standardized first by default (the bandwidth defaults are
+    calibrated for that scale); the kernel over predictors sees the full raw
+    predictor rows, not the design expansion.
+    """
+    response_sd = 1.0
     if standardize:
-        data, scales = standardize_dataset(data)
+        predictors = standardize_columns(data.predictors)[0]
+        response, _, sds = standardize_columns(data.response[:, None])
+        data = Dataset(predictors, response[:, 0], data.predictor_names)
+        response_sd = float(sds[0])
     G = evaluate_design(data.predictors, design)
     model = fit_ols(G, data.response)
     kx = resolve_bandwidth(kernel_x, data.predictors)
@@ -236,23 +248,6 @@ def prepare_stat(
         kernel_x=kx,
         kernel_e=ke,
         gram_x=K,
-        observed=_tiled_stat(K, np.arange(n), _gaussian_tiles(model.residuals, ke.bandwidth)),
-        scales=scales,
+        observed=_residual_stat(K, np.arange(n), model.residuals, ke.bandwidth),
+        response_sd=response_sd,
     )
-
-
-def residual_hsic_stat(
-    data: Dataset,
-    design: DesignSpec,
-    kernel_x: KernelSpec,
-    kernel_e: KernelSpec,
-    standardize: bool = True,
-) -> tuple[HsicValue, FittedModel]:
-    """The statistic between predictor rows and least-squares residuals.
-
-    Variables are standardized first by default (the bandwidth defaults are
-    calibrated for that scale); the kernel over predictors sees the full raw
-    predictor rows, not the design expansion.
-    """
-    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    return prep.observed, prep.model

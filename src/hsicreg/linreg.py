@@ -146,10 +146,8 @@ class FittedModel:
     """A least-squares fit: coefficients, residual vectors, and conditioning."""
 
     beta_hat: np.ndarray
-    fitted: np.ndarray
     residuals: np.ndarray
     centered_residuals: np.ndarray
-    residual_mean: float
     gram_condition: float
 
 
@@ -178,13 +176,10 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     if error is not None:
         raise error
     resid = y - fitted
-    rmean = float(resid.mean())
     return FittedModel(
         beta_hat=beta,
-        fitted=fitted,
         residuals=resid,
-        centered_residuals=resid - rmean,
-        residual_mean=rmean,
+        centered_residuals=resid - float(resid.mean()),
         gram_condition=float(cond),
     )
 
@@ -209,9 +204,11 @@ def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, np.
     member, factors each [G | y]: the leading d x d block of its R factor is
     G's, and the column beside it is Q'y, so beta solves R beta = Q'y and Q
     is never formed.  R has G's singular values: a member is singular when
-    fewer than d exceed eps * max(n, d) times the largest, or when the
-    condition number (s_max / s_min)^2 of (1/n) G'G exceeds
-    :data:`MAX_GRAM_CONDITION`.  Each member's LAPACK and BLAS calls see
+    the condition number (s_max / s_min)^2 of (1/n) G'G exceeds
+    :data:`MAX_GRAM_CONDITION`.  Its rank, the count of values above
+    eps * max(n, d) times the largest, is read only for the message: a rank
+    below d means a condition number of (eps * max(n, d))^-2 or more, over
+    the limit whenever max(n, d) < 4.5e9.  Each member's LAPACK and BLAS calls see
     only its own rows, so its results do not depend on the rest of the stack.
 
     Returns the coefficients (k, d), fitted values (k, n), condition numbers
@@ -223,18 +220,17 @@ def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, np.
     factors = np.linalg.qr(np.concatenate((G, y[..., None]), axis=2), mode="r")
     r, qty = factors[:, :d, :d], factors[:, :d, d]
     svals = np.linalg.svd(r, compute_uv=False)
-    ranks = np.count_nonzero(svals > np.finfo(float).eps * max(n, d) * svals[:, :1], axis=1)
     smin = svals[:, -1]
     cond = np.divide(svals[:, 0], smin, out=np.full(k, np.inf), where=smin > 0) ** 2
-    errors = [
-        None if rank == d and c <= MAX_GRAM_CONDITION else SingularDesignError(
-            f"design matrix is numerically singular (rank {rank} of {d}, scaled Gram condition {c:.3e})"
+    singular = ~(cond <= MAX_GRAM_CONDITION)
+    errors = [None] * k
+    for i in np.flatnonzero(singular).tolist():
+        rank = int(np.count_nonzero(svals[i] > np.finfo(float).eps * max(n, d) * svals[i, 0]))
+        errors[i] = SingularDesignError(
+            f"design matrix is numerically singular (rank {rank} of {d}, scaled Gram condition {cond[i]:.3e})"
             + (_dependent_columns_note(G[i], rank) if explain else "")
         )
-        for i, (rank, c) in enumerate(zip(ranks.tolist(), cond.tolist()))
-    ]
     # An identity in place of each singular R keeps the stacked solve from failing on it.
-    singular = np.array([error is not None for error in errors])
     r = np.where(singular[:, None, None], np.eye(d), r)
     beta = np.linalg.solve(r, qty[..., None])
     return beta[..., 0], np.matmul(G, beta)[..., 0], cond, errors
@@ -277,20 +273,3 @@ def standardize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise DegenerateDataError(f"zero-variance column(s) {dead.tolist()} cannot be standardized")
     return (M - means) / sds, means, sds
 
-
-@dataclass(frozen=True)
-class StandardizeInfo:
-    """Per-column centering/scale used to standardize a dataset."""
-
-    predictor_means: np.ndarray
-    predictor_sds: np.ndarray
-    response_mean: float
-    response_sd: float
-
-
-def standardize_dataset(data: Dataset) -> tuple[Dataset, StandardizeInfo]:
-    """Standardize predictors and response together; returns the new dataset and the scales."""
-    Xs, xm, xs = standardize(data.predictors)
-    ys, ym, ysd = standardize(data.response[:, None])
-    info = StandardizeInfo(xm, xs, float(ym[0]), float(ysd[0]))
-    return Dataset(Xs, ys[:, 0], data.predictor_names), info

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -44,8 +44,8 @@ import numpy as np
 
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
-from .errors import BootstrapAbortError
-from .hsic import _freed_work_memory, _gaussian_tiles, _tiled_stat, prepare_stat
+from .errors import BootstrapAbortError, DegenerateDataError, SingularDesignError
+from .hsic import _freed_work_memory, _residual_stat, prepare_stat
 from .kernels import KernelSpec, study_kernels
 from .linreg import Dataset, DesignSpec
 
@@ -200,10 +200,10 @@ def _power_trial(
     cell, trial = task
     spec = grid[cell]
     sim = draw_model(spec, substream(config.seed, cell, trial, 0))
-    trial_config = replace(config, seed=derive_seed(config.seed, cell, trial, 1))
     try:
-        reject = _curtailed_reject(sim.data, working_design(spec), *study_kernels(spec.dim), trial_config, alpha)
-    except BootstrapAbortError:
+        reject = _curtailed_reject(sim.data, working_design(spec), *study_kernels(spec.dim), config.replicates,
+                                   derive_seed(config.seed, cell, trial, 1), alpha)
+    except (BootstrapAbortError, DegenerateDataError, SingularDesignError):
         return False, True
     return reject, False
 
@@ -225,9 +225,11 @@ def power_study(
     accepts, and as soon as the p-value would stay at or below ``alpha`` even
     if every draw left exceeded, it rejects.  Each replicate is the
     one ``run_test`` would draw, so every decision is ``run_test``'s.  A
-    trial counts as aborted only if a twice-singular refit comes before its
-    decision is settled; aborted trials are counted per cell, surfaced in
-    the table, and excluded from the rate's denominator.
+    trial counts as aborted if its draw cannot be tested (a zero-variance
+    column that cannot be standardized, or a singular working fit), or if a
+    twice-singular refit comes before its decision is settled; aborted
+    trials are counted per cell, surfaced in the table, and excluded from
+    the rate's denominator.
     """
     grid = list(grid)
     if not grid:
@@ -293,10 +295,8 @@ def _contrast_rep(
     """(residual arm, error arm) scaled statistics for one contrast replication."""
     sim = draw_model(spec, substream(seed, replication))
     prep = prepare_stat(sim.data, working_design(spec), kernel_x, kernel_e, standardize)
-    sd = prep.scales.response_sd if prep.scales is not None else 1.0
     n = prep.observed.n
-    error_tiles = _gaussian_tiles(sim.errors / sd, prep.kernel_e.bandwidth)
-    err_arm = n * _tiled_stat(prep.gram_x, np.arange(n), error_tiles).value
+    err_arm = _residual_stat(prep.gram_x, np.arange(n), sim.errors / prep.response_sd, prep.kernel_e.bandwidth).scaled
     return (err_arm if both_arms_use_errors else prep.observed.scaled), err_arm
 
 

@@ -19,13 +19,12 @@ from hsicreg import (
     null_distribution_contrast,
     permutation_pvalue,
     power_study,
-    residual_hsic_stat,
     study_kernels,
     working_design,
 )
 from hsicreg._rng import derive_seed, substream
 from hsicreg.cli import main
-from hsicreg.hsic import hsic_sums, hsic_vstat
+from hsicreg.hsic import hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import gram_matrix
 from test_hsic import exact_hsic
 
@@ -181,8 +180,7 @@ def test_c09_rate_separation(capsys):
         total = 0.0
         for trial in range(reps):
             sim = draw_model(spec, substream(SEED, tag, trial))
-            value, _ = residual_hsic_stat(sim.data, design, wide, wide)
-            total += value.scaled
+            total += prepare_stat(sim.data, design, wide, wide).observed.scaled
         return total / reps
 
     null_ratio = (

@@ -26,6 +26,9 @@ def test_every_exported_name_resolves():
         ("custom", "linreg"),  # no replacement: a design term is a product of predictor coordinates
         ("CUSTOM", "simulate"),  # no replacement: a ModelSpec names a built-in model
         ("FIXED", "kernels"),  # a numeric bandwidth is fixed; KernelSpec("median") asks for the rule
+        ("residual_hsic_stat", "hsic"),  # use hsic.prepare_stat(...).observed and .model
+        ("StandardizeInfo", "linreg"),  # hsic.prepare_stat(...).response_sd is the one scale read
+        ("standardize_dataset", "linreg"),  # use linreg.standardize on the predictors and on the response
     ],
 )
 def test_removed_names_are_gone(name, module):

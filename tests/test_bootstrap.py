@@ -19,12 +19,12 @@ from hsicreg import (
     ModelSpec,
     SingularDesignError,
     draw_model,
+    intercept,
     null_distribution_contrast,
     permutation_pvalue,
     power_study,
     pvalue_from_draws,
     replicate_indices,
-    residual_hsic_stat,
     run_test,
     study_kernels,
     working_design,
@@ -266,7 +266,7 @@ def test_a_public_call_frees_its_work_memory(entry):
     config = BootstrapConfig(replicates=20)
     calls = {
         "run_test": lambda: run_test(*args, config),
-        "curtailed": lambda: _curtailed_reject(*args, config, 0.05),
+        "curtailed": lambda: _curtailed_reject(*args, config.replicates, config.seed, 0.05),
         "permutation": lambda: permutation_pvalue(data.predictors, data.response, KernelSpec(), KernelSpec(), config),
         "prepare_stat": lambda: prepare_stat(*args),
         "hsic_vstat": lambda: hsic_vstat(*(gram_matrix(x, KernelSpec()) for x in (data.predictors, data.response))),
@@ -624,7 +624,7 @@ class TestCurtailedReject:
                     data = draw_model(spec, substream(B, trial)).data
                     config = BootstrapConfig(replicates=B, seed=trial)
                     drawn.clear()
-                    decision = _curtailed_reject(data, *args, config, 0.05)
+                    decision = _curtailed_reject(data, *args, B, trial, 0.05)
                     evaluated = list(drawn)
                     full = run_test(data, *args, config, 0.05)
                     assert decision == full.reject
@@ -651,16 +651,16 @@ class TestCurtailedReject:
         than k - X; X = k + 1 accept, right after the last one."""
         assert k == _largest_accepted_count(B, alpha)
         data = toy_data(81)
-        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=B, seed=0))
-        observed = prepare_stat(data, *args[:3]).observed.scaled
+        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+        observed = prepare_stat(data, *args).observed.scaled
         exceedances = max(k + extra, 0)
         hits = set(range(1, 2 * exceedances, 2))  # ties with the statistic count
         drawn = _recording(monkeypatch, lambda prep, seed, b, *member: observed if b in hits else -1.0)
 
-        decision = _curtailed_reject(data, *args, alpha)
+        decision = _curtailed_reject(data, *args, B, 0, alpha)
         evaluated = list(drawn)
         drawn.clear()
-        full = run_test(data, *args, alpha)
+        full = run_test(data, *args, BootstrapConfig(replicates=B, seed=0), alpha)
         assert drawn == list(range(B))
         assert full.p_value == (1 + exceedances) / (B + 1)
         assert decision == full.reject == (exceedances <= k)
@@ -668,7 +668,7 @@ class TestCurtailedReject:
 
     def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch):
         data = toy_data(82)
-        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19, seed=0))
+        args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
 
         def draws(settle_at, abort_at):
             def draw(prep, seed, b, *member):
@@ -678,22 +678,21 @@ class TestCurtailedReject:
             return draw
 
         drawn = _recording(monkeypatch, draws(settle_at=2, abort_at=3))
-        assert not _curtailed_reject(data, *args, 0.05)
+        assert not _curtailed_reject(data, *args, 19, 0, 0.05)
         assert drawn == [0, 1, 2]
         with pytest.raises(BootstrapAbortError):
-            run_test(data, *args, 0.05)
+            run_test(data, *args, BootstrapConfig(replicates=19, seed=0), 0.05)
         _recording(monkeypatch, draws(settle_at=3, abort_at=2))
         with pytest.raises(BootstrapAbortError):
-            _curtailed_reject(data, *args, 0.05)
+            _curtailed_reject(data, *args, 19, 0, 0.05)
         # Rejection side: with B = 199 (k = 9) and no draw at the statistic, the
         # decision is settled after 190 draws.
-        args = args[:3] + (BootstrapConfig(replicates=199, seed=0),)
         drawn = _recording(monkeypatch, draws(settle_at=None, abort_at=190))
-        assert _curtailed_reject(data, *args, 0.05)
+        assert _curtailed_reject(data, *args, 199, 0, 0.05)
         assert drawn == list(range(190))
         _recording(monkeypatch, draws(settle_at=None, abort_at=189))
         with pytest.raises(BootstrapAbortError):
-            _curtailed_reject(data, *args, 0.05)
+            _curtailed_reject(data, *args, 199, 0, 0.05)
 
     def test_real_singular_replicates_before_and_after_the_stop(self):
         """A spiky column makes resamples without row 0 singular, twice over for some replicates."""
@@ -702,17 +701,16 @@ class TestCurtailedReject:
         data = Dataset(np.column_stack([x, spike]), np.array([2.0, 1.0, 3.0, 2.5, 4.0, 3.5]))
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
 
-        def outcome(fn, config):
+        def outcome(call):
             try:
-                return fn(data, *args, config, 0.05)
+                return call()
             except BootstrapAbortError:
                 return "abort"
 
         seen = []
         for seed in range(40):
-            config = BootstrapConfig(replicates=19, seed=seed)
-            full = outcome(lambda *a: run_test(*a).reject, config)
-            curtailed = outcome(_curtailed_reject, config)
+            full = outcome(lambda: run_test(data, *args, BootstrapConfig(replicates=19, seed=seed), 0.05).reject)
+            curtailed = outcome(lambda: _curtailed_reject(data, *args, 19, seed, 0.05))
             if full == "abort":
                 assert curtailed in (False, "abort")
                 seen.append(curtailed)
@@ -735,7 +733,7 @@ class TestCurtailedReject:
             config = BootstrapConfig(replicates=19, seed=seed)
             drawn.clear()
             try:
-                decision = _curtailed_reject(*args, config, 0.05)
+                decision = _curtailed_reject(*args, config.replicates, config.seed, 0.05)
             except BootstrapAbortError:
                 continue
             stop = len(drawn)
@@ -754,11 +752,11 @@ class TestCurtailedReject:
         drawn = _recording(monkeypatch)
         spec = ModelSpec("model1", n=50)
         data = draw_model(spec, substream(0, 0)).data
-        args = (data, working_design(spec), *study_kernels(spec.dim), BootstrapConfig(replicates=199, seed=3))
-        assert not _curtailed_reject(*args, 0.05)
+        args = (data, working_design(spec), *study_kernels(spec.dim))
+        assert not _curtailed_reject(*args, 199, 3, 0.05)
         assert len(drawn) < 199
         drawn.clear()
-        res = run_test(*args, 0.05)
+        res = run_test(*args, BootstrapConfig(replicates=199, seed=3), 0.05)
         assert drawn == list(range(199))
         assert res.null_draws.shape == (199,)
         assert res.p_value == pvalue_from_draws(res.null_draws, res.statistic)
@@ -917,7 +915,7 @@ class TestContrast:
         res = null_distribution_contrast(spec, kx, ke, 30, seed=11)
         for r in (0, 13, 29):
             sim = draw_model(spec, substream(11, r))
-            observed, _ = residual_hsic_stat(sim.data, working_design(spec), kx, ke)
+            observed = prepare_stat(sim.data, working_design(spec), kx, ke).observed
             assert res.residual_stats[r] == observed.scaled, r
             X = sim.data.predictors
             K = gram_matrix((X - X.mean(axis=0)) / X.std(axis=0, ddof=1), kx)
@@ -929,6 +927,64 @@ class TestContrast:
             null_distribution_contrast(ModelSpec("linear1d", n=2), KernelSpec(), KernelSpec(), 30)
         with pytest.raises(ValueError, match="reps must be >= 1"):
             null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), 0)
+
+
+#: |z| bound for a draws' mean against its closed form.  Seeds and sizes were
+#: fixed before the first run; a draw that pairs the two index streams moves z
+#: far past it.
+NULL_MEAN_Z = 4.0
+NULL_MEAN_DRAWS = 4000
+
+
+def _null_mean_data(n):
+    """X uniform in three dimensions, noise whose scale grows with x2."""
+    rng = np.random.default_rng(n)
+    X = rng.random((n, 3))
+    return X, X @ np.array([1.0, -1.0, 0.5]) + (0.5 + 2.0 * X[:, 1]) * rng.standard_normal(n)
+
+
+def _z(draws, mean):
+    draws = np.asarray(draws)
+    return (draws.mean() - mean) / (draws.std(ddof=1) / np.sqrt(draws.size))
+
+
+class TestNullDrawMeans:
+    """The mean of the null draws against closed forms that no package code computes.
+
+    V = n^-2 tr(HK*H L*) is linear in each Gram, so its mean is V at the mean
+    Grams.  A Gaussian Gram has a unit diagonal, so a Gram of n i.i.d. draws
+    from a sample has mean (1 - m)I + m11', m the grand mean of the sample's
+    Gram, and H11' = 0 leaves (1 - m)H of each centered mean.
+    """
+
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_intercept_only_bootstrap(self, n):
+        """E*[n V*] = (n - 1)/n (1 - k)(1 - l), k and l the grand means of the predictor
+        Gram and of the centered residuals' Gram.  Exact: with independent index
+        streams the two Grams are independent, and the intercept-only refit only
+        shifts e*, which the Gaussian kernel ignores."""
+        X, y = _null_mean_data(n)
+        kx, ke = KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.0)
+        res = run_test(Dataset(X, y), DesignSpec((intercept(),)), kx, ke,
+                       BootstrapConfig(replicates=NULL_MEAN_DRAWS, seed=11), standardize=False)
+        k = gram_matrix(X, kx).mean()
+        l = gram_matrix(y - y.mean(), ke).mean()
+        z = _z(res.null_draws, (n - 1) / n * (1 - k) * (1 - l))
+        assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
+
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_permutation_draws(self, n):
+        """E_pi[n V] = n/(n - 1) (1 - u)(1 - v), u and v the grand means of the two Grams:
+        a uniform permutation sends the off-diagonal entries of HVH, which sum to
+        -tr(HVH) = -n(1 - v), to each off-diagonal place with equal weight."""
+        X, y = _null_mean_data(n)
+        gram_u = gram_matrix(X, KernelSpec(bandwidth=2.0))
+        gram_v = gram_matrix(y, KernelSpec(bandwidth=1.0))
+        mean = n / (n - 1) * (1 - gram_u.mean()) * (1 - gram_v.mean())
+        centered_v = center_gram(gram_v)
+        draws = [n * _perm_draw(gram_u, centered_v, 11, b) for b in range(NULL_MEAN_DRAWS)]
+        z = _z(draws, mean)
+        assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
 
 
 def test_bootstrap_config_validation():

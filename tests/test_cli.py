@@ -395,6 +395,18 @@ class TestPowerCommand:
     ARGV = ["power", "--model", "linear1d", "--n", "20,30", "--lambda", "0,40",
             "--reps", "3", "--B", "19", "--format", "csv"]
 
+    def test_untestable_draws_are_aborts_not_an_exit(self, capsys):
+        """Two of these draws have a constant Bernoulli x4, which cannot be standardized."""
+        code, out, _ = run_main(capsys, ["power", "--model", "model2", "--n", "10", "--reps", "100",
+                                         "--B", "19", "--seed", "0"])
+        assert code == 0
+        assert json.loads(out)["cells"][0]["aborts"] >= 2
+
+    def test_too_few_rows_for_the_design_is_code_2(self, capsys):
+        code, _, err = run_main(capsys, ["power", "--model", "model1", "--n", "4", "--reps", "2", "--B", "19"])
+        assert code == 2
+        assert "error: need at least as many rows as design columns (4 < 5)" in err
+
     def test_grid_order_and_header(self, capsys):
         code, out, _ = run_main(capsys, self.ARGV)
         assert code == 0

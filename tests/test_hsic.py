@@ -17,11 +17,11 @@ from hsicreg import (
     gram_matrix,
     hsic_sums,
     hsic_vstat,
-    residual_hsic_stat,
+    standardize,
     working_design,
 )
 from hsicreg._rng import substream
-from hsicreg.hsic import _TILE, _gaussian_tiles, _tiled_stat, prepare_stat
+from hsicreg.hsic import _TILE, _residual_stat, _tiled_stat, prepare_stat
 from hsicreg.kernels import MEDIAN, _gram_tile
 
 
@@ -239,7 +239,7 @@ class TestTiledStat:
         points = rng.normal(size=n)
         kernel = KernelSpec(bandwidth=1.3)
         for name, idx in _index_sets(rng, n).items():
-            got = _tiled_stat(K, idx, _gaussian_tiles(points, kernel.bandwidth))
+            got = _residual_stat(K, idx, points, kernel.bandwidth)
             want = fsum_hsic(K[np.ix_(idx, idx)], gram_matrix(points, kernel))
             assert got.n == n
             assert got.value == pytest.approx(want, rel=1e-10, abs=1e-15), name
@@ -260,7 +260,7 @@ class TestTiledStat:
 
         monkeypatch.setattr("hsicreg.hsic._gram_tile", recorded)
         K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
-        _tiled_stat(K, np.arange(n), _gaussian_tiles(points, kernel.bandwidth))
+        _residual_stat(K, np.arange(n), points, kernel.bandwidth)
         L = gram_matrix(points, kernel)
         starts = range(0, n, _TILE)
         want = [(top, left) for top in starts for left in starts if left >= top]
@@ -282,7 +282,7 @@ def test_tiled_kernel_matches_fsum_oracle(n):
     K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec(bandwidth=1.5))
     points = rng.normal(size=n)
     idx = np.sort(rng.integers(0, n, size=n))
-    got = _tiled_stat(K, idx, _gaussian_tiles(points, KernelSpec().bandwidth)).value
+    got = _residual_stat(K, idx, points, KernelSpec().bandwidth).value
     assert got == pytest.approx(fsum_hsic(K[np.ix_(idx, idx)], gram_matrix(points, KernelSpec())),
                                 rel=1e-10, abs=1e-15)
 
@@ -294,7 +294,7 @@ def test_tiled_kernel_writes_neither_input():
     K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
     points = rng.normal(size=n)
     K0, points0 = K.copy(), points.copy()
-    _tiled_stat(K, np.sort(rng.integers(0, n, size=n)), _gaussian_tiles(points, KernelSpec().bandwidth))
+    _residual_stat(K, np.sort(rng.integers(0, n, size=n)), points, KernelSpec().bandwidth)
     assert np.array_equal(K, K0) and np.array_equal(points, points0)
 
 
@@ -346,10 +346,22 @@ class TestPreparedStat:
         assert prep.design.shape == (40, 3)
         # gram_x must equal the Gram of the standardized predictors, which have
         # two columns even though the design has three
-        from hsicreg.linreg import standardize_dataset
+        np.testing.assert_array_equal(prep.gram_x, gram_matrix(standardize(X)[0], KernelSpec()))
 
-        std = standardize_dataset(data)[0]
-        np.testing.assert_array_equal(prep.gram_x, gram_matrix(std.predictors, KernelSpec()))
+    def test_standardizes_predictors_and_response(self):
+        """Standardizing is linreg.standardize on the predictors and on the response;
+        the response's sample sd is kept, since the contrast's error arm divides by it."""
+        rng = np.random.default_rng(42)
+        data = Dataset(rng.normal(size=(30, 2)), 3.0 + 2.0 * rng.normal(size=30), ("a", "b"))
+        design = DesignSpec.main_effects(2)
+        prep = prepare_stat(data, design, KernelSpec(), KernelSpec())
+        ys, _, ysd = standardize(data.response[:, None])
+        plain = prepare_stat(Dataset(standardize(data.predictors)[0], ys[:, 0]), design, KernelSpec(), KernelSpec(),
+                             standardize=False)
+        assert prep.response_sd == float(ysd[0]) == pytest.approx(data.response.std(ddof=1), rel=1e-12)
+        np.testing.assert_array_equal(prep.design, plain.design)
+        np.testing.assert_array_equal(prep.model.residuals, plain.model.residuals)
+        assert prep.observed == plain.observed
 
     def test_peak_memory_is_one_gram(self):
         """One call holds the predictor Gram, and no other n x n array."""
@@ -389,7 +401,7 @@ class TestPreparedStat:
         X = rng.normal(size=(25, 2))
         data = Dataset(X, rng.normal(size=25))
         prep = prepare_stat(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), standardize=False)
-        assert prep.scales is None
+        assert prep.response_sd == 1.0
         assert np.array_equal(prep.gram_x, gram_matrix(X, KernelSpec()))
         assert np.array_equal(prep.design[:, 1:], X)
 
@@ -406,7 +418,8 @@ class TestPreparedStat:
         rng = np.random.default_rng(64)
         X = rng.normal(size=(30, 2))
         data = Dataset(X, X[:, 0] + rng.normal(size=30))
-        value, fit = residual_hsic_stat(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+        prep = prepare_stat(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+        value, fit = prep.observed, prep.model
         assert value.n == 30
         assert fit.beta_hat.shape == (3,)
         assert value.scaled == pytest.approx(30 * value.value)
@@ -415,8 +428,7 @@ class TestPreparedStat:
         rng = np.random.default_rng(65)
         X = rng.normal(size=(20, 1))
         data = Dataset(X, 2.0 + 3.0 * X[:, 0])
-        value, fit = residual_hsic_stat(
-            data, DesignSpec.main_effects(1), KernelSpec(), KernelSpec(), standardize=False
-        )
+        prep = prepare_stat(data, DesignSpec.main_effects(1), KernelSpec(), KernelSpec(), standardize=False)
+        value, fit = prep.observed, prep.model
         assert np.abs(fit.residuals).max() < 1e-12
         assert abs(value.value) < 1e-12

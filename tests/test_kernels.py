@@ -247,11 +247,11 @@ def test_bits_do_not_depend_on_blas_threads():
     script = (
         "import hashlib, numpy as np\n"
         "from hsicreg import KernelSpec, gram_matrix\n"
-        "from hsicreg.hsic import _gaussian_tiles, _tiled_stat\n"
+        "from hsicreg.hsic import _residual_stat\n"
         "rng = np.random.default_rng(21)\n"
         "K = gram_matrix(rng.normal(size=(1000, 4)), KernelSpec(4.0))\n"
         "idx = np.sort(rng.integers(0, 1000, size=1000))\n"
-        "value = _tiled_stat(K, idx, _gaussian_tiles(rng.normal(size=1000), 2**0.5)).value\n"
+        "value = _residual_stat(K, idx, rng.normal(size=1000), 2**0.5).value\n"
         "print(hashlib.sha256(K.tobytes() + np.float64(value).tobytes()).hexdigest())\n"
     )
     src = os.path.dirname(os.path.dirname(hsicreg.__file__))

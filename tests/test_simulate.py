@@ -22,6 +22,7 @@ from hsicreg import (
     working_design,
 )
 from hsicreg._rng import derive_seed, substream
+from hsicreg.simulate import _power_trial
 
 
 class TestModelSpec:
@@ -245,6 +246,20 @@ class TestPowerStudy:
         monkeypatch.setattr(hsicreg.bootstrap, "_replicate_stat", draw)
         table = power_study([ModelSpec("linear1d", n=20)], 0.05, BootstrapConfig(replicates=19, seed=0), reps=3)
         assert (table.cells[0].aborts, table.cells[0].rejections) == (aborts, 0)
+
+    def test_untestable_draw_counts_as_an_abort(self):
+        """A draw whose Bernoulli x4 is constant cannot be standardized: its trial aborts,
+        and the study goes on to test the others."""
+        spec, config = ModelSpec("model2", n=10), BootstrapConfig(replicates=19, seed=0)
+        x4 = [draw_model(spec, substream(0, 0, trial, 0)).data.predictors[:, 3] for trial in range(20)]
+        constant = [trial for trial, column in enumerate(x4) if np.ptp(column) == 0]
+        assert constant == [12]
+        assert _power_trial((0, 12), [spec], 0.05, config) == (False, True)
+        assert power_study([spec], 0.05, config, reps=20).cells[0].aborts >= 1
+
+    def test_too_few_rows_for_the_design_still_raises(self):
+        with pytest.raises(ValueError, match=r"need at least as many rows as design columns \(4 < 5\)"):
+            power_study([ModelSpec("model1", n=4)], 0.05, BootstrapConfig(replicates=19, seed=0), reps=2)
 
     def test_dependence_cell_rejects_more(self, study_table):
         assert study_table.cells[1].rate > study_table.cells[0].rate + 0.1
