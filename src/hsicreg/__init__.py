@@ -19,7 +19,6 @@ from .errors import BootstrapAbortError, DegenerateDataError, MemoryLimitError, 
 from .hsic import HsicValue, hsic_sums, hsic_vstat
 from .kernels import (
     KernelSpec,
-    center_gram,
     gram_matrix,
     median_heuristic,
     resolve_bandwidth,
@@ -75,7 +74,6 @@ __all__ = [
     "SimulatedData",
     "SingularDesignError",
     "TestResult",
-    "center_gram",
     "coordinate",
     "draw_model",
     "fit_ols",

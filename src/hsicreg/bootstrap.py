@@ -33,15 +33,9 @@ replicate's or a permutation's, re-keys its thread's one Philox generator
 generator: ``substream(seed, replicate, redraw)`` for a replicate,
 ``substream(seed, replicate)`` for a permutation.
 
-The permutation baseline is the one statistic not computed by that kernel.
-A permutation P commutes with centering (P HVH P' = H PVP' H), so it centers
-the second Gram once per call and each draw only gathers it and sums its
-product with the first Gram.  The tiled kernel would re-center the permuted
-Gram in every draw (2.3x the time per draw at n = 100 on a 2-vCPU host); to
-skip that, the shared kernel would have to branch on which caller it serves.
-A draw gathers the permuted Gram in strips of T rows into two T x n work
-arrays, reused like the tiled kernel's, so the baseline holds its two n x n
-Grams and nothing else that size.
+A permutation draw goes through the same kernel (:func:`_perm_draw`): it
+gathers the second Gram by the permutation and reads the first in tiles, so
+the baseline holds its two n x n Grams and nothing else that size.
 """
 from __future__ import annotations
 
@@ -56,8 +50,8 @@ import numpy as np
 
 from ._rng import replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _freed_work_memory, _residual_stat, _work_arrays, prepare_stat
-from .kernels import _TILE, KernelSpec, as_points, center_gram, gram_matrix
+from .hsic import PreparedStat, _freed_work_memory, _residual_stat, _tiled_stat, hsic_vstat, prepare_stat
+from .kernels import KernelSpec, as_points, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
 #: The most replicates one stacked solve refits ...
@@ -150,8 +144,8 @@ def _replicate_stat(
     n = prep.observed.n
     if resid is None:
         idx_x, idx_e = replicate_indices(seed, replicate, n, 1)
-        (resid,), (error,) = _refit_residuals(prep.design[idx_x][None], prep.model.centered_residuals[idx_e][None])
-        if error is not None:
+        (resid,), (flag,) = _refit_residuals(prep.design[idx_x][None], prep.model.centered_residuals[idx_e][None])
+        if flag:
             raise BootstrapAbortError(f"replicate {replicate}: singular refit on the draw and its one redraw; aborting")
     return _residual_stat(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth).scaled
 
@@ -167,9 +161,9 @@ def _null_block(prep: PreparedStat, seed: int, replicates: range) -> Iterator[fl
     idx = np.empty((len(replicates), 2, n), dtype=np.int64)
     for pair, replicate in zip(idx, replicates):
         pair[0], pair[1] = replicate_indices(seed, replicate, n)
-    resid, errors = _refit_residuals(prep.design[idx[:, 0]], prep.model.centered_residuals[idx[:, 1]])
-    for replicate, idx_x, member, error in zip(replicates, idx[:, 0], resid, errors):
-        yield _replicate_stat(prep, seed, replicate, idx_x, member if error is None else None)
+    resid, singular = _refit_residuals(prep.design[idx[:, 0]], prep.model.centered_residuals[idx[:, 1]])
+    for replicate, idx_x, member, flag in zip(replicates, idx[:, 0], resid, singular.tolist()):
+        yield _replicate_stat(prep, seed, replicate, idx_x, None if flag else member)
 
 
 def _null_draws(prep: PreparedStat, seed: int, replicates: range) -> list[float]:
@@ -317,30 +311,10 @@ def _curtailed_reject(
     return _add_one_pvalue(exceedances, B) <= alpha
 
 
-def _permuted_stat(gram_u: np.ndarray, centered_v: np.ndarray, perm: np.ndarray) -> float:
-    """n^-2 sum_ij U_ij (P HVH P')_ij, given ``centered_v`` = HVH (P HVH P' = H PVP' H).
-
-    The centered Gram is gathered strip by strip, through the first of two
-    T x n work arrays into the second, and summed by ``ndarray.sum`` (not a
-    BLAS dot, so no thread dependence).
-    """
-    n = gram_u.shape[0]
-    shape = (min(_TILE, n), n)
-    rows, permuted = _work_arrays(shape, shape)
-    total = 0.0
-    for top in range(0, n, _TILE):
-        part = perm[top : top + _TILE]
-        strip, product = rows[: len(part)], permuted[: len(part)]
-        # mode="clip" keeps take from allocating a hidden output buffer; perm is in range.
-        np.take(centered_v, part, axis=0, out=strip, mode="clip")
-        np.take(strip, perm, axis=1, out=product, mode="clip")
-        total += np.multiply(gram_u[top : top + _TILE], product, out=product).sum()
-    return float(total / n**2)
-
-
-def _perm_draw(gram_u: np.ndarray, centered_v: np.ndarray, seed: int, replicate: int) -> float:
+def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, seed: int, replicate: int) -> float:
+    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``substream(seed, replicate)``."""
     perm = replicate_stream(seed, replicate).permutation(gram_u.shape[0])
-    return _permuted_stat(gram_u, centered_v, perm)
+    return _tiled_stat(gram_v, perm, lambda rows, cols, out: gram_u[rows, cols]).value
 
 
 @_freed_work_memory()
@@ -355,8 +329,7 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
         raise ValueError(f"sample sizes differ: {len(u)} vs {len(v)}")
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
-    centered_v = center_gram(gram_v, out=gram_v)
-    draw = partial(_perm_draw, gram_u, centered_v, config.seed)
+    draw = partial(_perm_draw, gram_u, gram_v, config.seed)
     draws = parallel_map(draw, range(int(config.replicates)), config.workers)
-    # The identity permutation gives the observed statistic.
-    return pvalue_from_draws(draws, _permuted_stat(gram_u, centered_v, np.arange(len(u))))
+    # The observed statistic is the identity permutation's draw: hsic_vstat makes the same call.
+    return pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)

@@ -46,12 +46,12 @@ Artifact = tuple[dict, list[str], Iterable]
 
 
 def load_csv(path: str, response_column: str, predictor_columns: list[str] | None = None) -> Dataset:
-    """Read a header-ed, '.'-decimal, UTF-8 CSV into a dataset.
+    """Read a header-ed, '.'-decimal, UTF-8 CSV, with or without a byte-order mark, into a dataset.
 
     Errors carry row/column coordinates; fewer than d+2 data rows for d
     predictors is rejected as insufficient.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -1,12 +1,13 @@
 """A biased (V-statistic) estimate of the Hilbert-Schmidt independence criterion.
 
-One kernel, :func:`_tiled_stat`, computes every statistic the package reports
-except the permutation baseline's: n^-2 tr(HAH HBH) for a gathered, read-only
-Gram A and a second Gram B read in upper T x T tiles from a tile source.  There
-are two sources: Gaussian tiles of 1-D points (:func:`_residual_stat`, the one
-path from a residual vector to the statistic: the observed statistic of
-:func:`prepare_stat`, every bootstrap replicate and the contrast's error arm)
-and slices of a precomputed Gram (:func:`hsic_vstat`).
+One kernel, :func:`_tiled_stat`, computes every statistic the package reports:
+n^-2 tr(HAH HBH) for a gathered, read-only Gram A and a second Gram B read in
+upper T x T tiles from a tile source.  There are two sources: Gaussian tiles of
+1-D points (:func:`_residual_stat`, the one path from a residual vector to the
+statistic: the observed statistic of :func:`prepare_stat`, every bootstrap
+replicate and the contrast's error arm) and slices of a precomputed Gram
+(:func:`hsic_vstat`, and each draw of the permutation baseline, which gathers
+the second Gram by its permutation).
 The explicit three-sum form :func:`hsic_sums` is kept as the oracle: the two
 are tested against each other and against literal nested-loop sums, and
 neither may be defined through the other.  Every sum is plain float64, and

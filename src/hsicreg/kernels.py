@@ -248,26 +248,3 @@ def _gram_tile(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarr
         np.add(out, term, out=out)
     np.negative(out, out=out)
     return np.exp(out, out=out)
-
-
-def center_gram(gram: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Doubly center a Gram matrix (subtract row and column means, add back the grand mean).
-
-    Equivalent to H K H with H = I - (1/n) 11', without materializing H; row
-    and column sums of the result vanish up to rounding.  The result is
-    written into ``out`` if given, which may be ``gram`` itself: all three
-    means are taken before anything is written.
-    """
-    K = np.asarray(gram, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    n = K.shape[0]
-    row_sums = K.sum(axis=1)
-    row = row_sums / n
-    col = K.mean(axis=0)
-    # Summed exactly: an error in the grand mean is multiplied by the sum of
-    # all of the other Gram, which no centering cancels.
-    grand = math.fsum(row_sums.tolist()) / n**2
-    out = np.subtract(K, row[:, None], out=out)
-    np.subtract(out, col[None, :], out=out)
-    return np.add(out, grand, out=out)

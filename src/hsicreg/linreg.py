@@ -172,9 +172,16 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     if not (np.isfinite(G).all() and np.isfinite(y).all()):
         raise ValueError("design or response contains non-finite values")
 
-    (beta,), (fitted,), (cond,), (error,) = _solve(G[None], y[None], explain=True)
-    if error is not None:
-        raise error
+    (beta,), (fitted,), (cond,), (singular,), (svals,) = _solve(G[None], y[None])
+    if singular:
+        # The rank, the count of values above eps * max(n, d) times the largest, is read only
+        # for the message: a rank below d means a condition number of (eps * max(n, d))^-2
+        # or more, over the limit whenever max(n, d) < 4.5e9.
+        rank = int(np.count_nonzero(svals > np.finfo(float).eps * max(n, d) * svals[0]))
+        raise SingularDesignError(
+            f"design matrix is numerically singular (rank {rank} of {d}, scaled Gram condition {cond:.3e})"
+            + _dependent_columns_note(G, rank)
+        )
     resid = y - fitted
     return FittedModel(
         beta_hat=beta,
@@ -184,20 +191,19 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     )
 
 
-def _refit_residuals(designs: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray, list]:
+def _refit_residuals(designs: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of the (k, n) result is ``fit_ols(designs[i], responses[i]).residuals``.
 
     For (k, n, d) and (k, n) stacks of rows gathered from arrays ``fit_ols``
-    accepted, so nothing is re-validated.  Also returns, per member, ``None``
-    or the :class:`SingularDesignError` its fit raises, unraised and without
-    the dependent-column note, which a caller that redraws a singular
-    resample would discard; such a member's residuals are not to be read.
+    accepted, so nothing is re-validated.  Also returns the (k,) mask of the
+    members whose fit ``fit_ols`` would reject as singular; such a member's
+    residuals are not to be read.
     """
-    _, fitted, _, errors = _solve(designs, responses, explain=False)
-    return responses - fitted, errors
+    _, fitted, _, singular, _ = _solve(designs, responses)
+    return responses - fitted, singular
 
 
-def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def _solve(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Least squares of each (n, d) design in the stack ``G`` against its response in ``y``.
 
     One ``numpy.linalg.qr`` call, a Householder QR with one LAPACK call per
@@ -205,35 +211,24 @@ def _solve(G: np.ndarray, y: np.ndarray, explain: bool) -> tuple[np.ndarray, np.
     G's, and the column beside it is Q'y, so beta solves R beta = Q'y and Q
     is never formed.  R has G's singular values: a member is singular when
     the condition number (s_max / s_min)^2 of (1/n) G'G exceeds
-    :data:`MAX_GRAM_CONDITION`.  Its rank, the count of values above
-    eps * max(n, d) times the largest, is read only for the message: a rank
-    below d means a condition number of (eps * max(n, d))^-2 or more, over
-    the limit whenever max(n, d) < 4.5e9.  Each member's LAPACK and BLAS calls see
+    :data:`MAX_GRAM_CONDITION`.  Each member's LAPACK and BLAS calls see
     only its own rows, so its results do not depend on the rest of the stack.
 
     Returns the coefficients (k, d), fitted values (k, n), condition numbers
-    (k,) and, per member, ``None`` or an unraised
-    :class:`SingularDesignError`, whose message names the columns that look
-    dependent with ``explain``; a singular member's fit is not to be read.
+    (k,), the mask of singular members (k,), whose fits are not to be read,
+    and the singular values (k, d) in decreasing order.
     """
-    k, n, d = G.shape
+    k, _, d = G.shape
     factors = np.linalg.qr(np.concatenate((G, y[..., None]), axis=2), mode="r")
     r, qty = factors[:, :d, :d], factors[:, :d, d]
     svals = np.linalg.svd(r, compute_uv=False)
     smin = svals[:, -1]
     cond = np.divide(svals[:, 0], smin, out=np.full(k, np.inf), where=smin > 0) ** 2
     singular = ~(cond <= MAX_GRAM_CONDITION)
-    errors = [None] * k
-    for i in np.flatnonzero(singular).tolist():
-        rank = int(np.count_nonzero(svals[i] > np.finfo(float).eps * max(n, d) * svals[i, 0]))
-        errors[i] = SingularDesignError(
-            f"design matrix is numerically singular (rank {rank} of {d}, scaled Gram condition {cond[i]:.3e})"
-            + (_dependent_columns_note(G[i], rank) if explain else "")
-        )
     # An identity in place of each singular R keeps the stacked solve from failing on it.
     r = np.where(singular[:, None, None], np.eye(d), r)
     beta = np.linalg.solve(r, qty[..., None])
-    return beta[..., 0], np.matmul(G, beta)[..., 0], cond, errors
+    return beta[..., 0], np.matmul(G, beta)[..., 0], cond, singular, svals
 
 
 def _dependent_columns_note(G: np.ndarray, rank: int) -> str:

@@ -29,6 +29,7 @@ def test_every_exported_name_resolves():
         ("residual_hsic_stat", "hsic"),  # use hsic.prepare_stat(...).observed and .model
         ("StandardizeInfo", "linreg"),  # hsic.prepare_stat(...).response_sd is the one scale read
         ("standardize_dataset", "linreg"),  # use linreg.standardize on the predictors and on the response
+        ("center_gram", "kernels"),  # for the statistic, use hsic_vstat on the two Gram matrices
     ],
 )
 def test_removed_names_are_gone(name, module):

@@ -17,7 +17,6 @@ from hsicreg import (
     DesignSpec,
     KernelSpec,
     ModelSpec,
-    SingularDesignError,
     draw_model,
     intercept,
     null_distribution_contrast,
@@ -35,13 +34,12 @@ from hsicreg.bootstrap import (
     _null_block,
     _null_draws,
     _perm_draw,
-    _permuted_stat,
     _replicate_stat,
     parallel_map,
 )
 from hsicreg._rng import _KEY_BLOCK, _philox_keys, replicate_stream, substream
-from hsicreg.hsic import _work_memory, hsic_sums, hsic_vstat, prepare_stat
-from hsicreg.kernels import MEDIAN, center_gram, gram_matrix
+from hsicreg.hsic import _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
+from hsicreg.kernels import MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
 from test_hsic import fsum_hsic
 
@@ -342,27 +340,6 @@ def test_null_draw_matches_oracle_on_raw_pairs():
             assert draws[b] == pytest.approx(want, rel=1e-10), (n, b)
 
 
-def test_no_replicate_calls_center_gram(monkeypatch):
-    """A bootstrap replicate centers only the gathered predictor Gram, inside
-    its tiles through index counts, so it never calls ``center_gram``; a
-    permutation replicate centers none, since its permuted Gram was centered once."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return center_gram(*args, **kwargs)
-
-    prep = _prepared_for(toy_data(76, n=50, d0=2), DesignSpec.main_effects(2))
-    rng = np.random.default_rng(85)
-    gram_u = gram_matrix(rng.normal(size=50), KernelSpec())
-    centered_v = center_gram(gram_matrix(rng.normal(size=50), KernelSpec()))
-    for module in ("hsicreg.kernels", "hsicreg.bootstrap"):
-        monkeypatch.setattr(f"{module}.center_gram", counted)
-    _null_draws(prep, 4, range(3))
-    _perm_draw(gram_u, centered_v, 4, 0)
-    assert calls == []
-
-
 _REDUCED = []
 
 
@@ -557,9 +534,8 @@ class TestSingularReplicates:
         rows = np.array([replicate_indices(seed, b, 6) for b in range(40)])
         singular = [0 not in idx_x for idx_x in rows[:, 0]]
         assert any(singular) and not all(singular)
-        resid, errors = _refit_residuals(prep.design[rows[:, 0]], prep.model.centered_residuals[rows[:, 1]])
-        assert [error is not None for error in errors] == singular
-        assert all(isinstance(error, SingularDesignError) for error in errors if error is not None)
+        resid, flags = _refit_residuals(prep.design[rows[:, 0]], prep.model.centered_residuals[rows[:, 1]])
+        assert flags.tolist() == singular
         for (idx_x, idx_e), member, flag in zip(rows, resid, singular):
             if not flag:
                 refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
@@ -790,9 +766,9 @@ class TestPermutationBaseline:
         p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=49, seed=6))
         assert p == (1 + exceed) / 50
 
-    def test_identity_permutation_reproduces_observed(self, monkeypatch):
-        """The identity draw is the observed statistic the p-value compares
-        against, bit for bit, and the two-Gram form up to rounding."""
+    def test_observed_is_bit_equal_to_hsic_vstat(self, monkeypatch):
+        """The statistic the p-value compares against is ``hsic_vstat`` of the two Grams,
+        bit for bit: the identity permutation's draw."""
         observed = []
 
         def recording(draws, statistic):
@@ -805,9 +781,7 @@ class TestPermutationBaseline:
         permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9, seed=7))
         gram_u = gram_matrix(u, KernelSpec())
         gram_v = gram_matrix(v, KernelSpec())
-        identity = _permuted_stat(gram_u, center_gram(gram_v), np.arange(40))
-        assert observed == [identity]
-        assert identity == pytest.approx(hsic_vstat(gram_u, gram_v).value, rel=1e-12)
+        assert observed == [hsic_vstat(gram_u, gram_v).value]
 
     def test_draws_match_permuted_gram_centered_afresh(self, monkeypatch):
         """Gathering the once-centered Gram equals centering each permuted Gram,
@@ -860,11 +834,12 @@ class TestPermutationBaseline:
         """A draw permutes by ``substream(seed, replicate)``, from the re-keyed generator."""
         rng = np.random.default_rng(89)
         gram_u = gram_matrix(rng.normal(size=(37, 2)), KernelSpec())
-        centered_v = center_gram(gram_matrix(rng.normal(size=37), KernelSpec()))
+        gram_v = gram_matrix(rng.normal(size=37), KernelSpec())
         for seed in (0, 2**70):
             expected = substream(seed, replicate).permutation(37)
             np.testing.assert_array_equal(replicate_stream(seed, replicate).permutation(37), expected)
-            assert _perm_draw(gram_u, centered_v, seed, replicate) == _permuted_stat(gram_u, centered_v, expected)
+            want = _tiled_stat(gram_v, expected, lambda rows, cols, out: gram_u[rows, cols]).value
+            assert _perm_draw(gram_u, gram_v, seed, replicate) == want
 
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)
@@ -981,8 +956,7 @@ class TestNullDrawMeans:
         gram_u = gram_matrix(X, KernelSpec(bandwidth=2.0))
         gram_v = gram_matrix(y, KernelSpec(bandwidth=1.0))
         mean = n / (n - 1) * (1 - gram_u.mean()) * (1 - gram_v.mean())
-        centered_v = center_gram(gram_v)
-        draws = [n * _perm_draw(gram_u, centered_v, 11, b) for b in range(NULL_MEAN_DRAWS)]
+        draws = [n * _perm_draw(gram_u, gram_v, 11, b) for b in range(NULL_MEAN_DRAWS)]
         z = _z(draws, mean)
         assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
 

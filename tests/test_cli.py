@@ -195,6 +195,22 @@ class TestTestCommand:
         assert payload["design"] == ["1", "x1", "x2", "x3", "x4"]
         assert payload["source"] == str(out_path)
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, monkeypatch):
+        """A CSV saved with a UTF-8 byte-order mark (Excel's "CSV UTF-8") gives the
+        plain copy's artifact, byte for byte; the mark sits before the first column's name."""
+        rows = [[2.3, 0.1, 1.0], [2.9, 0.4, 0.5], [3.7, 0.9, 0.1], [2.4, 0.2, 0.8], [3.1, 0.6, 0.3]]
+        plain = Path(write_csv(tmp_path / "source.csv", ["y", "x1", "x2"], rows)).read_bytes()
+        artifacts = []
+        for name, content in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "data.csv").write_bytes(content)
+            monkeypatch.chdir(tmp_path / name)
+            code, _, _ = run_main(capsys, ["test", "--input", "data.csv", "--response", "y",
+                                           "--B", "19", "--out", "out.json"])
+            assert code == 0
+            artifacts.append((tmp_path / name / "out.json").read_bytes())
+        assert artifacts[0] == artifacts[1]
+
     def test_design_flag(self, capsys, small_csv):
         code, out, _ = run_main(
             capsys, ["test", "--input", small_csv, "--response", "y",

@@ -19,7 +19,6 @@ from hsicreg import (
     DesignSpec,
     KernelSpec,
     MemoryLimitError,
-    center_gram,
     gram_matrix,
     median_heuristic,
     resolve_bandwidth,
@@ -351,50 +350,3 @@ def test_as_points_validation():
         as_points([[1.0, np.nan]])
     with pytest.raises(ValueError):
         as_points(np.zeros((2, 2, 2)))
-
-
-class TestCenterGram:
-    def test_row_and_column_sums_vanish(self):
-        rng = np.random.default_rng(21)
-        K = gram_matrix(rng.normal(size=(30, 2)), KernelSpec())
-        C = center_gram(K)
-        assert np.abs(C.sum(axis=0)).max() < 1e-12
-        assert np.abs(C.sum(axis=1)).max() < 1e-12
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(22)
-        K = gram_matrix(rng.normal(size=(25, 2)), KernelSpec())
-        C = center_gram(K)
-        np.testing.assert_allclose(center_gram(C), C, atol=1e-13)
-
-    def test_matches_explicit_projection(self):
-        """H K H with H = I - 11'/n, materialized, at small and at large n."""
-        rng = np.random.default_rng(23)
-        for n in (7, 1000):
-            K = gram_matrix(rng.normal(size=(n, 3)), KernelSpec(bandwidth=1.4))
-            H = np.eye(n) - np.ones((n, n)) / n
-            np.testing.assert_allclose(center_gram(K), H @ K @ H, atol=1e-14, err_msg=f"n={n}")
-
-    def test_in_place_equals_allocating(self):
-        """``out`` may alias the input: the means are taken before any write."""
-        rng = np.random.default_rng(24)
-        for n in (5, 300):
-            K = gram_matrix(rng.normal(size=(n, 2)), KernelSpec(bandwidth=1.1))
-            want = center_gram(K)
-            got = center_gram(K, out=K)
-            assert got is K
-            assert np.array_equal(K, want), f"n={n}"
-
-    def test_operation_order(self):
-        """((K - row) - col) + grand, the means taken from the uncentered K and
-        the grand mean summed exactly from the row sums."""
-        rng = np.random.default_rng(25)
-        K = gram_matrix(rng.normal(size=(64, 3)), KernelSpec())
-        row = K.mean(axis=1)
-        grand = math.fsum(K.sum(axis=1).tolist()) / 64**2
-        want = K - row[:, None] - K.mean(axis=0)[None, :] + grand
-        assert np.array_equal(center_gram(K), want)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            center_gram(np.zeros((3, 4)))
