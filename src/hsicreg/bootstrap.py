@@ -27,7 +27,8 @@ n x n: it passes its predictor-row indices, refit residuals and the resolved
 residual bandwidth to :func:`hsicreg.hsic._residual_stat`, the one statistic
 entry, which also computed the observed statistic; its tiled kernel reads the
 frozen predictor Gram and works in T*n + 2*T^2 + 4*n floats that its thread reuses
-from one replicate to the next and frees when the test returns.  Every draw, a
+from one replicate, and one call, to the next; :func:`parallel_map` frees the
+calling thread's set before it starts a pool.  Every draw, a
 replicate's or a permutation's, re-keys its thread's one Philox generator
 (:func:`hsicreg._rng.replicate_stream`) to its stream instead of building a
 generator: ``substream(seed, replicate, redraw)`` for a replicate,
@@ -50,8 +51,8 @@ import numpy as np
 
 from ._rng import replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _freed_work_memory, _residual_stat, _tiled_stat, hsic_vstat, prepare_stat
-from .kernels import KernelSpec, as_points, gram_matrix
+from .hsic import PreparedStat, _free_work_memory, _residual_stat, _tiled_stat, hsic_vstat, prepare_stat
+from .kernels import KernelSpec, _check_gram_fits, as_points, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
 #: The most replicates one stacked solve refits ...
@@ -221,6 +222,7 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     if workers == 1:
         return [fn(item) for item in items]
     chunk = max(1, -(-len(items) // (workers * 4)))
+    _free_work_memory()  # the calling thread draws nothing while the pool runs
     with ProcessPoolExecutor(max_workers=workers, initializer=_install_worker_fn, initargs=(fn,)) as pool:
         return list(pool.map(_apply_worker_fn, items, chunksize=chunk))
 
@@ -236,7 +238,6 @@ def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
     return _add_one_pvalue(int(np.count_nonzero(draws >= statistic)), draws.size)
 
 
-@_freed_work_memory()
 def run_test(
     data: Dataset,
     design: DesignSpec,
@@ -271,7 +272,6 @@ def run_test(
     )
 
 
-@_freed_work_memory()
 def _curtailed_reject(
     data: Dataset,
     design: DesignSpec,
@@ -317,7 +317,6 @@ def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, seed: int, replicate: int
     return _tiled_stat(gram_v, perm, lambda rows, cols, out: gram_u[rows, cols]).value
 
 
-@_freed_work_memory()
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
     """Permutation p-value for raw i.i.d. pairs (u_i, v_i).
 
@@ -327,6 +326,7 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     u, v = as_points(u), as_points(v)
     if len(u) != len(v):
         raise ValueError(f"sample sizes differ: {len(u)} vs {len(v)}")
+    _check_gram_fits(len(u), grams=2)
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
     draw = partial(_perm_draw, gram_u, gram_v, config.seed)

@@ -26,7 +26,7 @@ from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, run_test
 from .errors import BootstrapAbortError, MemoryLimitError, SingularDesignError
 from .kernels import MEDIAN, KernelSpec, study_kernels
-from .linreg import Dataset, DesignSpec, coordinate, intercept, product, square
+from .linreg import BasisTerm, Dataset, DesignSpec, coordinate, intercept, square
 from .simulate import (
     LINEAR1D,
     MODEL1,
@@ -105,7 +105,8 @@ def load_csv(path: str, response_column: str, predictor_columns: list[str] | Non
 
 
 def parse_design(text: str, names: tuple[str, ...]) -> DesignSpec:
-    """Parse ``"1 + x1 + x1*x2 + x2^2"`` against the predictor column names."""
+    """Parse ``"1 + x1 + x1*x2 + x2^2 + x1*x2*x3"`` against the predictor column names;
+    a ``*`` term is the product of all its factors."""
     index = {name: j for j, name in enumerate(names)}
 
     def lookup(token: str) -> int:
@@ -121,8 +122,7 @@ def parse_design(text: str, names: tuple[str, ...]) -> DesignSpec:
         if token == "1":
             terms.append(intercept())
         elif "*" in token:
-            left, _, right = token.partition("*")
-            terms.append(product(lookup(left.strip()), lookup(right.strip()), label=token))
+            terms.append(BasisTerm(tuple(lookup(factor.strip()) for factor in token.split("*")), token))
         elif token.endswith("^2"):
             terms.append(square(lookup(token[:-2].strip()), label=token))
         else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,11 +52,17 @@ def _check_gram_pair(K, L) -> tuple[np.ndarray, np.ndarray, int]:
     if n == 0:
         raise ValueError("Gram matrices are empty: the statistic needs at least one sample")
     for name, M in (("first", K), ("second", L)):
-        # The statistic kernel reads upper tiles only, so a Gram must equal its transpose;
-        # compared tile by tile, which reads memory in order and holds no n x n temporary.
-        if not all(np.array_equal(M[i : i + t, j : j + t], M[j : j + t, i : i + t].T)
-                   for i in range(0, n, t) for j in range(i, n, t)):
-            raise ValueError(f"{name} Gram matrix is not exactly symmetric")
+        # The statistic kernel reads upper tiles only, so a Gram must be finite and equal its
+        # transpose; checked tile by tile, which reads memory in order and holds no n x n
+        # temporary.  A finite upper tile equal to its mirror leaves the mirror finite too.
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                upper, lower = M[i : i + t, j : j + t], M[j : j + t, i : i + t].T
+                if not np.isfinite(upper).all():
+                    raise ValueError(f"{name} Gram matrix has non-finite entries")
+                if not np.array_equal(upper, lower):
+                    problem = "is not exactly symmetric" if np.isfinite(lower).all() else "has non-finite entries"
+                    raise ValueError(f"{name} Gram matrix {problem}")
     return K, L, n
 
 
@@ -87,33 +92,23 @@ def _work_arrays(*shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return _work_memory.arrays
 
 
-@contextmanager
-def _freed_work_memory():
-    """Free this thread's work arrays on the way out; also a decorator.
-
-    Every public call that computes a statistic frees them as it returns, so
-    only the replicates inside one call reuse them and none outlives the call.
-    The observed statistic's arrays are freed before the replicates start: a
-    test on pool workers draws nothing in the calling process, and arrays
-    kept there while the pool ran left holes in glibc's heap that the next
-    n x n Gram could not reuse (peak RSS 6 MiB higher in some 20 s loops of
-    ``run_test`` at n = 1000 on two workers).
-    """
-    try:
-        yield
-    finally:
-        _work_memory.shapes = _work_memory.arrays = ()
+def _free_work_memory() -> None:
+    """Free this thread's work arrays: :func:`hsicreg.bootstrap.parallel_map` does, just
+    before it starts a pool.  Arrays kept in the calling process while a pool ran left
+    holes in glibc's heap that the next n x n Gram could not reuse (peak RSS 6 MiB higher
+    in some 20 s loops of ``run_test`` at n = 1000 on two workers)."""
+    _work_memory.shapes = _work_memory.arrays = ()
 
 
-@_freed_work_memory()
 def hsic_vstat(K, L) -> HsicValue:
     """n^-2 sum_ij K_ij (HLH)_ij for two exactly symmetric Grams: the tiled kernel
     centers ``L`` and reads ``K`` in slices, so neither input is changed or copied whole.
 
-    Checking that both Grams are exactly symmetric reads each once more, tile
-    by tile, and costs about 40% of the call: 2.2 of 5.2 ms at n = 1000 and
-    11 of 27 ms at n = 2000 (best of 7, one core of a 2-vCPU x86-64 host).
-    Comparing strips, or tiles through a reused buffer, was no cheaper.
+    Checking that both Grams are finite and exactly symmetric reads each once
+    more, tile by tile, and costs about half the call: 2.6 of 5.2 ms at
+    n = 1000 and 11.8 of 24 ms at n = 2000, of which the finiteness test is
+    0.7 and 2.0 ms (best of 15, one core of a 2-vCPU x86-64 host).  Comparing
+    strips, or tiles through a reused buffer, was no cheaper.
     """
     K, L, n = _check_gram_pair(K, L)
     return _tiled_stat(L, np.arange(n), lambda rows, cols, out: K[rows, cols])
@@ -127,7 +122,8 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:
     symmetric Gram L, built into the work buffer ``out`` or read from memory
     the source holds.  Neither n x n matrix is formed; the kernel works in
     T*n + 2*T^2 + 4*n floats that its thread keeps from one call to the next
-    (:func:`_work_arrays`) until the public call it serves returns:
+    (:func:`_work_arrays`) until a call at another n asks for new shapes or a
+    process pool starts (:func:`_free_work_memory`):
 
     * the gathered Gram is centered through index counts: with c the counts
       of ``idx`` and Kc = K c, its row means are u = Kc[idx] / n and its
@@ -217,7 +213,6 @@ class PreparedStat:
     response_sd: float  # the response's sample sd when standardized, else 1.0
 
 
-@_freed_work_memory()
 def prepare_stat(
     data: Dataset,
     design: DesignSpec,

@@ -197,19 +197,21 @@ def _memory_limit() -> tuple[int, str] | None:
     return min(limits, default=None)
 
 
-def _check_gram_fits(n: int) -> None:
-    """Raise :class:`MemoryLimitError` unless an n x n Gram and one build strip,
-    8n^2 + 8 * _TILE * n bytes, fit within :func:`_memory_limit`.
+def _check_gram_fits(n: int, grams: int = 1) -> None:
+    """Raise :class:`MemoryLimitError` unless ``grams`` n x n Grams and one build strip,
+    8 * grams * n^2 + 8 * _TILE * n bytes, fit within :func:`_memory_limit`.
 
-    One copy is counted: pool workers started by ``fork`` share the caller's
-    Gram.  Workers started by ``spawn`` or ``forkserver`` each build or receive
-    their own copy and check it on their own.
+    The permutation baseline checks its two Grams before it builds either;
+    every other caller checks one.  Pool workers started by ``fork`` share
+    the caller's Gram.  Under ``spawn`` or ``forkserver`` a ``test`` worker
+    unpickles its own copy of the predictor Gram and checks nothing, so the
+    check undercounts by the worker count.
     """
     limit = _memory_limit()
-    needed = 8 * n * n + 8 * _TILE * n
+    needed = 8 * grams * n * n + 8 * _TILE * n
     if limit is not None and needed > limit[0]:
         raise MemoryLimitError(
-            f"an n x n Gram matrix at n = {n} needs {needed} bytes ({needed / 2**20:.1f} MiB), "
+            f"{grams} n x n Gram matrix(es) at n = {n} need {needed} bytes ({needed / 2**20:.1f} MiB), "
             f"more than the {limit[0]} bytes ({limit[0] / 2**20:.1f} MiB) allowed by {limit[1]}"
         )
 

@@ -45,7 +45,7 @@ import numpy as np
 from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
 from .errors import BootstrapAbortError, DegenerateDataError, SingularDesignError
-from .hsic import _freed_work_memory, _residual_stat, prepare_stat
+from .hsic import _residual_stat, prepare_stat
 from .kernels import KernelSpec, study_kernels
 from .linreg import Dataset, DesignSpec
 
@@ -331,9 +331,7 @@ def null_distribution_contrast(
     from scipy.stats import ks_2samp
 
     rep = partial(_contrast_rep, spec, kernel_x, kernel_e, seed, standardize, both_arms_use_errors)
-    # A with block, not the decorator, so the warning below still names the caller's line.
-    with _freed_work_memory():
-        arms = np.asarray(parallel_map(rep, range(reps), workers), dtype=float)
+    arms = np.asarray(parallel_map(rep, range(reps), workers), dtype=float)
     resid_stats, error_stats = arms.T
     ks = ks_2samp(resid_stats, error_stats, method="asymp")
     undersampled = reps < _CONTRAST_MIN_REPS

@@ -256,24 +256,41 @@ def test_replicates_reuse_their_work_memory():
     assert per_replicate < 2, f"{per_replicate:.1f} minor faults per replicate"
 
 
-@pytest.mark.parametrize("entry", ["run_test", "curtailed", "permutation", "prepare_stat", "hsic_vstat", "contrast"])
-def test_a_public_call_frees_its_work_memory(entry):
-    """Replicates reuse one set of work arrays; the call they serve frees it when it returns."""
+@pytest.mark.parametrize("entry", ["run_test", "permutation", "power_study", "contrast"])
+def test_a_pool_starts_with_no_work_memory_in_the_caller(entry, monkeypatch):
+    """A pooled call draws nothing in the calling thread, so parallel_map frees that
+    thread's work arrays just before it starts the pool."""
     data = toy_data(74, n=200, d0=4)
     args = (data, DesignSpec.main_effects(4), KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4))
-    config = BootstrapConfig(replicates=20)
+    config = BootstrapConfig(replicates=20, workers=2)
     calls = {
         "run_test": lambda: run_test(*args, config),
-        "curtailed": lambda: _curtailed_reject(*args, config.replicates, config.seed, 0.05),
         "permutation": lambda: permutation_pvalue(data.predictors, data.response, KernelSpec(), KernelSpec(), config),
-        "prepare_stat": lambda: prepare_stat(*args),
-        "hsic_vstat": lambda: hsic_vstat(*(gram_matrix(x, KernelSpec()) for x in (data.predictors, data.response))),
-        "contrast": lambda: null_distribution_contrast(ModelSpec("linear1d", n=150), *study_kernels(1), 25, seed=0),
+        "power_study": lambda: power_study([ModelSpec("model1", n=60)], 0.05, BootstrapConfig(19, workers=2), 4),
+        "contrast": lambda: null_distribution_contrast(ModelSpec("linear1d", n=150), *study_kernels(1), 25, workers=2),
     }
+    held = []
+    pool = hsicreg.bootstrap.ProcessPoolExecutor
+
+    def recording_pool(*pool_args, **pool_kwargs):
+        held.append(_work_memory.arrays)
+        return pool(*pool_args, **pool_kwargs)
+
+    monkeypatch.setattr(hsicreg.bootstrap, "ProcessPoolExecutor", recording_pool)
     draw_alone(prepare_stat(*args), 0, 0)
     assert _work_memory.arrays
     calls[entry]()
-    assert _work_memory.arrays == ()
+    assert held == [()]
+
+
+def test_serial_calls_at_one_n_reuse_one_set_of_work_memory():
+    """Without a pool, a thread keeps its work arrays from one call to the next."""
+    args = (toy_data(75, n=200, d0=4), DesignSpec.main_effects(4), KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4))
+    run_test(*args, BootstrapConfig(replicates=20))
+    held = _work_memory.arrays
+    assert held
+    run_test(*args, BootstrapConfig(replicates=20, seed=1))
+    assert _work_memory.arrays is held
 
 
 def test_concurrent_tests_in_threads_equal_serial_runs():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 import hsicreg
-from hsicreg import BootstrapConfig, DesignSpec, ModelSpec, draw_model, run_test, study_kernels
+from hsicreg import BootstrapConfig, DesignSpec, ModelSpec, draw_model, fit_ols, run_test, study_kernels
 from hsicreg._rng import derive_seed, substream
 from hsicreg.cli import load_csv, main, parse_design
+from hsicreg.linreg import evaluate_design
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -104,6 +106,16 @@ class TestParseDesign:
     def test_tokens(self):
         spec = parse_design("1 + x1 + x1*x2 + price^2", self.NAMES)
         assert spec.labels == ("1", "x1", "x1*x2", "price^2")
+
+    def test_a_product_takes_every_factor(self):
+        spec = parse_design("1 + x1*x2*price + x2 * x1", self.NAMES)
+        assert spec.labels == ("1", "x1*x2*price", "x2 * x1")
+        X = np.random.default_rng(5).normal(size=(20, 3))
+        G = evaluate_design(X, spec)
+        np.testing.assert_array_equal(G[:, 1], X[:, 0] * X[:, 1] * X[:, 2])
+        np.testing.assert_array_equal(G[:, 2], X[:, 1] * X[:, 0])
+        with pytest.raises(ValueError, match="unknown predictor 'volume'"):
+            parse_design("x1*x2*volume", self.NAMES)
 
     def test_unknown_predictor(self):
         with pytest.raises(ValueError, match="unknown predictor 'volume'"):
@@ -218,6 +230,18 @@ class TestTestCommand:
         )
         assert code == 0
         assert json.loads(out)["design"] == ["1", "x1", "x1*x2"]
+
+    def test_design_flag_takes_a_three_way_product(self, capsys):
+        argv = ["test", "--model", "model1", "--n", "40", "--B", "19", "--no-standardize"]
+        code, out, _ = run_main(capsys, [*argv, "--design", "1 + x1*x2*x3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["design"] == ["1", "x1*x2*x3"]
+        # Fitting the column on its own, through the library, gives the same coefficients.
+        data = draw_model(ModelSpec("model1", n=40), substream(0, 0)).data
+        column = data.predictors[:, 0] * data.predictors[:, 1] * data.predictors[:, 2]
+        expected = fit_ols(np.column_stack([np.ones(40), column]), data.response).beta_hat
+        np.testing.assert_allclose(payload["beta_hat"], expected, rtol=1e-12)
 
     def test_median_bandwidth_resolves_to_number(self, capsys):
         code, out, _ = run_main(
@@ -540,6 +564,48 @@ class TestContrastCommand:
         assert records == {"ks_distance", "ks_pvalue", "stat", "hist_edge", "hist_count"}
         stat_rows = [r for r in rows[1:] if r[0] == "stat"]
         assert len(stat_rows) == 50  # 25 per arm
+
+
+#: The acceptance gate's C10 commands that run on a pool.
+C10_POOLED = {
+    "test": ["test", "--model", "model1", "--n", "60", "--B", "199", "--seed", "5"],
+    "power": ["power", "--model", "linear1d", "--n", "20,30", "--lambda", "0,40",
+              "--reps", "5", "--B", "99", "--seed", "3", "--format", "csv"],
+    "contrast": ["contrast", "--n", "40", "--reps", "40", "--seed", "2"],
+}
+
+#: Runs each argv list of argv[2] (JSON) through the CLI under start method argv[1].
+START_METHOD_SCRIPT = """\
+import json, multiprocessing, sys
+from hsicreg.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    for argv in json.loads(sys.argv[2]):
+        if main(argv) != 0:
+            sys.exit(f"nonzero exit: {argv}")
+"""
+
+
+@pytest.mark.skipif(not {"fork", "spawn", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+                    reason="needs the fork, spawn and forkserver start methods")
+def test_every_start_method_writes_the_same_bytes(tmp_path):
+    """Under spawn and forkserver a pool worker unpickles the state that fork lets it
+    inherit; C10's pooled commands write the same bytes under all three, at one worker
+    and two.  Each method runs in its own interpreter, which sets it as the default."""
+    script = tmp_path / "run.py"
+    script.write_text(START_METHOD_SCRIPT)
+    env = {**os.environ, "PYTHONPATH": str(Path(hsicreg.__file__).resolve().parent.parent)}
+    for method in ("fork", "spawn", "forkserver"):
+        argvs = [[*argv, "--workers", str(w), "--out", str(tmp_path / f"{name}-{w}.{method}")]
+                 for name, argv in C10_POOLED.items() for w in (1, 2)]
+        subprocess.run([sys.executable, str(script), method, json.dumps(argvs)],
+                       env=env, check=True, capture_output=True, timeout=600)
+    for name in C10_POOLED:
+        for w in (1, 2):
+            fork = (tmp_path / f"{name}-{w}.fork").read_bytes()
+            for method in ("spawn", "forkserver"):
+                assert (tmp_path / f"{name}-{w}.{method}").read_bytes() == fork, (name, w, method)
 
 
 def test_csv_workflow_demo_rejects(capsys):

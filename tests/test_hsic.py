@@ -334,6 +334,23 @@ def test_empty_and_asymmetric_grams_rejected():
                 form(K, skewed)
 
 
+def test_non_finite_grams_rejected():
+    """Both forms reject a Gram holding inf or NaN, in the upper or the lower triangle,
+    with a message that says so (an inf gave -inf or nan, a NaN "not exactly symmetric")."""
+    for form in (hsic_vstat, hsic_sums):
+        for n, entry in ((6, (0, 1)), (2 * _TILE + 5, (3, 2 * _TILE + 2))):
+            K, L = random_gram_pair(np.random.default_rng(73), n)
+            for value in (np.inf, -np.inf, np.nan):
+                for cells in ((entry, entry[::-1]), (entry,), (entry[::-1],), ((n - 1, n - 1),)):
+                    bad = K.copy()
+                    for cell in cells:
+                        bad[cell] = value
+                    with pytest.raises(ValueError, match="first Gram matrix has non-finite entries"):
+                        form(bad, L)
+                    with pytest.raises(ValueError, match="second Gram matrix has non-finite entries"):
+                        form(K, bad)
+
+
 class TestPreparedStat:
     def test_statistic_between_raw_predictors_and_residuals(self):
         """The predictor kernel sees raw rows, never the design expansion."""

@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist, squareform
 
 import hsicreg
 from hsicreg import (
+    BootstrapConfig,
     Dataset,
     DegenerateDataError,
     DesignSpec,
@@ -21,6 +22,7 @@ from hsicreg import (
     MemoryLimitError,
     gram_matrix,
     median_heuristic,
+    permutation_pvalue,
     resolve_bandwidth,
 )
 from hsicreg.hsic import prepare_stat
@@ -313,6 +315,22 @@ class TestMemoryGuard:
         with pytest.raises(MemoryLimitError, match="n = 400"):
             prepare_stat(Dataset(X, y), DesignSpec.main_effects(2),
                          KernelSpec(MEDIAN), KernelSpec(MEDIAN))
+
+    def test_permutation_baseline_checks_both_grams_before_building_either(self, monkeypatch):
+        n = 400
+        limit = 12 * n * n + 8 * _TILE * n  # one and a half Grams: one fits, two do not
+        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (limit, "a patched limit"))
+        rng = np.random.default_rng(29)
+        u, v = rng.normal(size=(n, 2)), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryLimitError) as info:
+                permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, f"traced peak {peak} bytes"
+        assert f"2 n x n Gram matrix(es) at n = 400 need {16 * n * n + 8 * _TILE * n} bytes" in str(info.value)
 
     def test_a_gram_under_the_limit_is_built(self, one_megabyte):
         assert gram_matrix(np.arange(200.0), KernelSpec()).shape == (200, 200)
