@@ -29,11 +29,7 @@ from .linreg import (
     Dataset,
     DesignSpec,
     FittedModel,
-    coordinate,
     fit_ols,
-    intercept,
-    product,
-    square,
     standardize,
 )
 from .simulate import (
@@ -74,19 +70,16 @@ __all__ = [
     "SimulatedData",
     "SingularDesignError",
     "TestResult",
-    "coordinate",
     "draw_model",
     "fit_ols",
     "gram_matrix",
     "hsic_sums",
     "hsic_vstat",
-    "intercept",
     "median_heuristic",
     "monotonicity_report",
     "null_distribution_contrast",
     "permutation_pvalue",
     "power_study",
-    "product",
     "pvalue_from_draws",
     "replicate_indices",
     "resolve_bandwidth",
@@ -94,7 +87,6 @@ __all__ = [
     "simulate_linear1d",
     "simulate_model1",
     "simulate_model2",
-    "square",
     "standardize",
     "study_kernels",
     "working_design",

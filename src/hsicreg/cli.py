@@ -2,6 +2,10 @@
 
 Each subcommand's handler returns its artifact as a JSON payload and a CSV
 table; :func:`main` writes the one ``--format`` names to ``--out`` or stdout.
+The CLI owns no model decision: ``test --design`` is read by
+:meth:`hsicreg.linreg.DesignSpec.parse`, and every subcommand that draws from
+a built-in model takes the one flag group of :func:`_add_model_flags`
+(``power`` takes its comma-separated grid form).
 Artifacts are byte-identical for a fixed ``--seed`` — worker count and any
 other execution detail never appear in them.  Progress lines go to stderr.
 Exit codes: 0 on success, 2 for input or configuration problems (an
@@ -26,7 +30,7 @@ from ._rng import derive_seed, substream
 from .bootstrap import BootstrapConfig, run_test
 from .errors import BootstrapAbortError, MemoryLimitError, SingularDesignError
 from .kernels import MEDIAN, KernelSpec, study_kernels
-from .linreg import BasisTerm, Dataset, DesignSpec, coordinate, intercept, square
+from .linreg import Dataset, DesignSpec
 from .simulate import (
     LINEAR1D,
     MODEL1,
@@ -104,32 +108,6 @@ def load_csv(path: str, response_column: str, predictor_columns: list[str] | Non
     return Dataset(X, y, tuple(predictor_columns))
 
 
-def parse_design(text: str, names: tuple[str, ...]) -> DesignSpec:
-    """Parse ``"1 + x1 + x1*x2 + x2^2 + x1*x2*x3"`` against the predictor column names;
-    a ``*`` term is the product of all its factors."""
-    index = {name: j for j, name in enumerate(names)}
-
-    def lookup(token: str) -> int:
-        if token not in index:
-            raise ValueError(f"design references unknown predictor {token!r} (have: {', '.join(names)})")
-        return index[token]
-
-    terms = []
-    for raw in text.split("+"):
-        token = raw.strip()
-        if not token:
-            raise ValueError(f"empty term in design {text!r}")
-        if token == "1":
-            terms.append(intercept())
-        elif "*" in token:
-            terms.append(BasisTerm(tuple(lookup(factor.strip()) for factor in token.split("*")), token))
-        elif token.endswith("^2"):
-            terms.append(square(lookup(token[:-2].strip()), label=token))
-        else:
-            terms.append(coordinate(lookup(token), label=token))
-    return DesignSpec(tuple(terms))
-
-
 def _bandwidth(text: str):
     if text == MEDIAN:
         return MEDIAN
@@ -148,12 +126,11 @@ def _kernels_from_args(args, dim: int) -> tuple[KernelSpec, KernelSpec]:
                  for flag, default in zip(flags, study_kernels(dim)))
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _comma_list(kind: type):
+    """An argparse type: a comma-separated list of ``kind`` values."""
+    def comma_list(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    return comma_list
 
 
 def _jsonable(value):
@@ -245,7 +222,7 @@ def _dataset_for_test(args) -> tuple[Dataset, str]:
 
 def cmd_test(args) -> Artifact:
     data, source = _dataset_for_test(args)
-    design = parse_design(args.design, data.names()) if args.design else DesignSpec.main_effects(data.d0)
+    design = DesignSpec.parse(args.design, data.names()) if args.design else DesignSpec.main_effects(data.d0)
     config = BootstrapConfig(replicates=args.B, seed=derive_seed(args.seed, 1), workers=args.workers)
     result = run_test(
         data,
@@ -376,12 +353,16 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
                    help="skip standardizing predictors and response before fitting")
 
 
-def _add_model_flags(p: argparse.ArgumentParser, n_required: bool, model_required: bool = False) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, n_required: bool, model_required: bool = False,
+                     grid: bool = False) -> None:
+    """The flags of a model cell; with ``grid``, --n, --a and --lambda take comma-separated lists."""
+    kind, many = (_comma_list, " (comma-separated list)") if grid else ((lambda k: k), "")
     p.add_argument("--model", choices=_BUILTIN_MODELS, required=model_required, default=None)
-    p.add_argument("--n", type=int, required=n_required, default=None)
-    p.add_argument("--a", type=float, default=0.0, help="coefficient of the omitted nonlinear term")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
-                   help="scale-dependence strength of the noise on x1")
+    p.add_argument("--n", type=kind(int), required=n_required, default=None, help=f"sample size{many}")
+    # A string default goes through the flag's type: 0.0, or [0.0] with grid.
+    p.add_argument("--a", type=kind(float), default="0", help=f"coefficient of the omitted nonlinear term{many}")
+    p.add_argument("--lambda", dest="lam", type=kind(float), default="0",
+                   help=f"scale-dependence strength of the noise on x1{many}")
     p.add_argument("--noise-sd", type=float, default=None,
                    help="base noise sd (default: sqrt(0.1) for linear1d, else 1)")
 
@@ -399,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--response", default=None, help="response column name")
     p_test.add_argument("--predictors", default=None, help="comma-separated predictor column names")
     p_test.add_argument("--design", default=None,
-                        help="e.g. '1 + x1 + x2 + x1*x2 + x2^2' (default: intercept + all predictors)")
+                        help="e.g. '1 + x1 + x2 + x1*x2 + x2^2 + x1^2*x2' (default: intercept + all predictors)")
     _add_model_flags(p_test, n_required=False)
     _add_kernel_flags(p_test)
     p_test.add_argument("--B", type=int, default=1000, help="bootstrap replicates")
@@ -416,13 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_pow = sub.add_parser("power", help="Monte Carlo rejection rates over a parameter grid")
-    p_pow.add_argument("--model", choices=_BUILTIN_MODELS, required=True)
-    p_pow.add_argument("--n", type=_int_list, required=True, help="comma-separated sizes, e.g. 100,200")
-    p_pow.add_argument("--a", type=_float_list, default=[0.0], help="comma-separated values")
-    p_pow.add_argument("--lambda", dest="lam", type=_float_list, default=[0.0],
-                       help="comma-separated values")
-    p_pow.add_argument("--noise-sd", type=float, default=None,
-                       help="base noise sd (default: sqrt(0.1) for linear1d, else 1)")
+    _add_model_flags(p_pow, n_required=True, model_required=True, grid=True)
     p_pow.add_argument("--reps", type=int, default=300, help="Monte Carlo trials per cell")
     p_pow.add_argument("--B", type=int, default=500, help="bootstrap replicates per trial")
     p_pow.add_argument("--alpha", type=float, default=0.05)

@@ -1,8 +1,10 @@
 """Datasets, design matrices, and ordinary least squares.
 
 The regression model is linear in a user-chosen basis of the raw predictor
-coordinates: intercept, single coordinates, pairwise products and squares,
-each evaluated as one vectorized column operation.  Every fit goes through
+coordinates, and this module alone builds it: a :class:`DesignSpec` of
+:class:`BasisTerm` products, from :meth:`DesignSpec.main_effects` or parsed
+from text such as ``"1 + x1 + x1^2*x2"`` by :meth:`DesignSpec.parse`, each
+term evaluated as one vectorized column operation.  Every fit goes through
 one solver, :func:`_solve`: a Householder QR of the design with the response
 as one more column, taken for a whole stack of fits at once, so the
 normal-equations matrix is never formed; its condition number is read from
@@ -76,26 +78,10 @@ class Dataset:
 @dataclass(frozen=True)
 class BasisTerm:
     """One named column of the regression design: the product of the predictor
-    coordinates at ``indices`` (none for the intercept, one repeated for a square)."""
+    coordinates at ``indices`` (none for the intercept, j repeated k times for a power x_j^k)."""
 
     indices: tuple[int, ...] = ()
     label: str = ""
-
-
-def intercept() -> BasisTerm:
-    return BasisTerm((), "1")
-
-
-def coordinate(j: int, label: str | None = None) -> BasisTerm:
-    return BasisTerm((int(j),), label or f"x{j + 1}")
-
-
-def square(j: int, label: str | None = None) -> BasisTerm:
-    return BasisTerm((int(j), int(j)), label or f"x{j + 1}^2")
-
-
-def product(i: int, j: int, label: str | None = None) -> BasisTerm:
-    return BasisTerm((int(i), int(j)), label or f"x{i + 1}*x{j + 1}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +107,41 @@ class DesignSpec:
     @classmethod
     def main_effects(cls, d0: int) -> "DesignSpec":
         """Intercept plus every raw coordinate."""
-        return cls((intercept(), *(coordinate(j) for j in range(d0))))
+        return cls((BasisTerm((), "1"), *(BasisTerm((j,), f"x{j + 1}") for j in range(d0))))
+
+    @classmethod
+    def parse(cls, text: str, names: tuple[str, ...]) -> "DesignSpec":
+        """Parse ``"1 + x1 + x1*x2 + x2^2 + x1^2*x3"`` against the predictor names.
+
+        A design is ``+``-separated terms; a term is ``1`` or a ``*``-product of
+        factors ``name`` or ``name^k``, k a positive integer, and keeps its text
+        as its label.  A factor is looked up as a name first, so a column such
+        as ``log-price`` parses; otherwise a ``-``, ``/``, parenthesis, or a
+        power that is not a positive integer, is named as an unsupported operator.
+        """
+        index = {name: j for j, name in enumerate(names)}
+
+        def factor(token: str, term: str) -> tuple[int, ...]:
+            if token in index:
+                return (index[token],)
+            base, caret, power = (part.strip() for part in token.partition("^"))
+            if caret and base in index:
+                if not (power.isdecimal() and int(power) > 0):
+                    raise ValueError(f"unsupported operator {'^' + power!r} in design term {term!r}")
+                return (index[base],) * int(power)
+            operator = next((c for c in base if c in "-/()"), None)
+            if operator is not None:
+                raise ValueError(f"unsupported operator {operator!r} in design term {term!r}")
+            raise ValueError(f"design references unknown predictor {base!r} (have: {', '.join(names)})")
+
+        terms = []
+        for raw in text.split("+"):
+            term = raw.strip()
+            if not term:
+                raise ValueError(f"empty term in design {text!r}")
+            indices = () if term == "1" else tuple(j for f in term.split("*") for j in factor(f.strip(), term))
+            terms.append(BasisTerm(indices, term))
+        return cls(tuple(terms))
 
 
 def evaluate_design(X: np.ndarray, spec: DesignSpec) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The package's public names, and what importing it costs."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -30,12 +31,17 @@ def test_every_exported_name_resolves():
         ("StandardizeInfo", "linreg"),  # hsic.prepare_stat(...).response_sd is the one scale read
         ("standardize_dataset", "linreg"),  # use linreg.standardize on the predictors and on the response
         ("center_gram", "kernels"),  # for the statistic, use hsic_vstat on the two Gram matrices
+        ("intercept", "linreg"),  # use BasisTerm((), "1"), or DesignSpec.parse
+        ("coordinate", "linreg"),  # use BasisTerm((j,), label), or DesignSpec.parse
+        ("square", "linreg"),  # use BasisTerm((j, j), label), or DesignSpec.parse
+        ("product", "linreg"),  # use BasisTerm((i, j), label), or DesignSpec.parse
+        ("parse_design", "cli"),  # use DesignSpec.parse(text, names)
     ],
 )
 def test_removed_names_are_gone(name, module):
     assert name not in hsicreg.__all__
     assert not hasattr(hsicreg, name)
-    assert not hasattr(getattr(hsicreg, module), name)
+    assert not hasattr(importlib.import_module(f"hsicreg.{module}"), name)
 
 
 def test_study_kernels_live_beside_kernel_spec():

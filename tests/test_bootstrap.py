@@ -1,5 +1,7 @@
 """Null calibration: resampling streams, the bootstrap loop, and baselines."""
 
+import itertools
+import math
 import os
 import re
 import sys
@@ -11,6 +13,7 @@ import pytest
 
 import hsicreg.bootstrap
 from hsicreg import (
+    BasisTerm,
     BootstrapAbortError,
     BootstrapConfig,
     Dataset,
@@ -18,7 +21,6 @@ from hsicreg import (
     KernelSpec,
     ModelSpec,
     draw_model,
-    intercept,
     null_distribution_contrast,
     permutation_pvalue,
     power_study,
@@ -38,7 +40,7 @@ from hsicreg.bootstrap import (
     parallel_map,
 )
 from hsicreg._rng import _KEY_BLOCK, _philox_keys, replicate_stream, substream
-from hsicreg.hsic import _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
+from hsicreg.hsic import _residual_stat, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
 from test_hsic import fsum_hsic
@@ -957,7 +959,7 @@ class TestNullDrawMeans:
         shifts e*, which the Gaussian kernel ignores."""
         X, y = _null_mean_data(n)
         kx, ke = KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.0)
-        res = run_test(Dataset(X, y), DesignSpec((intercept(),)), kx, ke,
+        res = run_test(Dataset(X, y), DesignSpec((BasisTerm((), "1"),)), kx, ke,
                        BootstrapConfig(replicates=NULL_MEAN_DRAWS, seed=11), standardize=False)
         k = gram_matrix(X, kx).mean()
         l = gram_matrix(y - y.mean(), ke).mean()
@@ -976,6 +978,47 @@ class TestNullDrawMeans:
         draws = [n * _perm_draw(gram_u, gram_v, 11, b) for b in range(NULL_MEAN_DRAWS)]
         z = _z(draws, mean)
         assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
+
+
+def test_draws_follow_the_enumerated_bootstrap_law():
+    """At n = 4 the bootstrap law, refit included, is enumerable: 4^4 predictor-row index
+    vectors times 4^4 residual index vectors, 65,536 equally likely pairs.  The 1,024 with
+    constant predictor rows are singular; a singular draw is redrawn from the same law, so
+    a reported draw follows the law of the other 64,512.  The draws must match it in mean
+    and within a DKW bound on the KS distance; a paired-streams bootstrap fails the latter."""
+    n = 4
+    prep = prepare_stat(Dataset(np.array([0.0, 1.0, 3.0, 7.0]), np.array([1.0, 0.5, 2.5, 1.0])),
+                        DesignSpec.main_effects(1), *study_kernels(1))
+    every = np.array(list(itertools.product(range(n), repeat=n)))
+    exact = []
+    for idx_x in every:
+        # This predictor-row vector against every residual vector, in one stack.
+        designs = np.broadcast_to(prep.design[idx_x], (len(every), *prep.design.shape))
+        resid, singular = _refit_residuals(designs, prep.model.centered_residuals[every])
+        exact += [_residual_stat(prep.gram_x, idx_x, e, prep.kernel_e.bandwidth).scaled for e in resid[~singular]]
+    assert len(exact) == len(every) ** 2 - 1024
+    exact = np.sort(exact)
+
+    draws = []
+    for b in range(4000):
+        try:
+            draws += _null_draws(prep, 25, range(b, b + 1))
+        except BootstrapAbortError:  # a draw and its redraw both singular: probability 1/4096
+            pass
+    draws = np.sort(draws)
+    z = (draws.mean() - exact.mean()) / (exact.std() / math.sqrt(draws.size))
+    assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
+
+    # Pairs that differ only in order give one value up to rounding: group them into atoms.
+    tol = 1e-9 * exact[-1]
+    nearest = exact[np.minimum(np.searchsorted(exact, draws - tol), exact.size - 1)]
+    assert (np.abs(nearest - draws) <= tol).all(), "a draw the enumeration never gives"
+    atoms = exact[np.append(np.diff(exact) > tol, True)] + tol
+    ks = np.abs(np.searchsorted(exact, atoms, side="right") / exact.size
+                - np.searchsorted(draws, atoms, side="right") / draws.size).max()
+    # Dvoretzky-Kiefer-Wolfowitz: P(KS > eps) <= 2 exp(-2 N eps^2) = 1e-6.
+    eps = math.sqrt(math.log(2 / 1e-6) / (2 * draws.size))
+    assert ks < eps, f"KS distance {ks:.4f} over the bound {eps:.4f}"
 
 
 def test_bootstrap_config_validation():

@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 import hsicreg
 from hsicreg import BootstrapConfig, DesignSpec, ModelSpec, draw_model, fit_ols, run_test, study_kernels
 from hsicreg._rng import derive_seed, substream
-from hsicreg.cli import load_csv, main, parse_design
+from hsicreg.cli import load_csv, main
 from hsicreg.linreg import evaluate_design
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -104,26 +105,50 @@ class TestParseDesign:
     NAMES = ("x1", "x2", "price")
 
     def test_tokens(self):
-        spec = parse_design("1 + x1 + x1*x2 + price^2", self.NAMES)
+        spec = DesignSpec.parse("1 + x1 + x1*x2 + price^2", self.NAMES)
         assert spec.labels == ("1", "x1", "x1*x2", "price^2")
 
     def test_a_product_takes_every_factor(self):
-        spec = parse_design("1 + x1*x2*price + x2 * x1", self.NAMES)
+        spec = DesignSpec.parse("1 + x1*x2*price + x2 * x1", self.NAMES)
         assert spec.labels == ("1", "x1*x2*price", "x2 * x1")
         X = np.random.default_rng(5).normal(size=(20, 3))
         G = evaluate_design(X, spec)
         np.testing.assert_array_equal(G[:, 1], X[:, 0] * X[:, 1] * X[:, 2])
         np.testing.assert_array_equal(G[:, 2], X[:, 1] * X[:, 0])
         with pytest.raises(ValueError, match="unknown predictor 'volume'"):
-            parse_design("x1*x2*volume", self.NAMES)
+            DesignSpec.parse("x1*x2*volume", self.NAMES)
+
+    def test_powers_repeat_their_index(self):
+        spec = DesignSpec.parse("x1^2*x2 + x1^3 + x2 ^2", self.NAMES)
+        assert [t.indices for t in spec.terms] == [(0, 0, 1), (0, 0, 0), (1, 1)]
+        assert spec.labels == ("x1^2*x2", "x1^3", "x2 ^2")
+        X = np.random.default_rng(6).normal(size=(20, 3))
+        G = evaluate_design(X, spec)
+        np.testing.assert_array_equal(G[:, 0], X[:, 0] * X[:, 0] * X[:, 1])
+        np.testing.assert_array_equal(G[:, 1], X[:, 0] * X[:, 0] * X[:, 0])
+
+    def test_a_name_is_looked_up_before_any_operator(self):
+        spec = DesignSpec.parse("1 + log-price + log-price^2", ("log-price",))
+        assert [t.indices for t in spec.terms] == [(), (0,), (0, 0)]
+
+    @pytest.mark.parametrize("text, operator, term", [
+        ("1 + x1 - x2", "-", "x1 - x2"),
+        ("1 + x1/x2", "/", "x1/x2"),
+        ("log(x1)", "(", "log(x1)"),
+        ("x1^0 + x2", "^0", "x1^0"),
+        ("x1^a*x2", "^a", "x1^a*x2"),
+    ])
+    def test_unsupported_operator_is_named(self, text, operator, term):
+        with pytest.raises(ValueError, match=re.escape(f"unsupported operator {operator!r} in design term {term!r}")):
+            DesignSpec.parse(text, self.NAMES)
 
     def test_unknown_predictor(self):
         with pytest.raises(ValueError, match="unknown predictor 'volume'"):
-            parse_design("1 + volume", self.NAMES)
+            DesignSpec.parse("1 + volume", self.NAMES)
 
     def test_empty_term(self):
         with pytest.raises(ValueError, match="empty term"):
-            parse_design("1 + + x1", self.NAMES)
+            DesignSpec.parse("1 + + x1", self.NAMES)
 
 
 def run_main(capsys, argv):

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from hsicreg import (
+    BasisTerm,
     Dataset,
     DegenerateDataError,
     DesignSpec,
     SingularDesignError,
-    coordinate,
     fit_ols,
-    intercept,
-    product,
-    square,
     standardize,
 )
 from hsicreg.linreg import MAX_GRAM_CONDITION, _refit_residuals, evaluate_design
@@ -39,16 +36,17 @@ def test_dataset_validation():
 
 
 def test_design_labels_and_dimensions():
-    spec = DesignSpec((intercept(), coordinate(0), coordinate(1), product(0, 1), square(1)))
+    spec = DesignSpec.parse("1 + x1 + x2 + x1*x2 + x2^2", ("x1", "x2"))
     assert spec.d == 5
     assert spec.labels == ("1", "x1", "x2", "x1*x2", "x2^2")
-    assert DesignSpec.main_effects(3).labels == ("1", "x1", "x2", "x3")
-    assert DesignSpec((coordinate(0), coordinate(1))).labels == ("x1", "x2")
+    assert [t.indices for t in spec.terms] == [(), (0,), (1,), (0, 1), (1, 1)]
+    assert DesignSpec.main_effects(3) == DesignSpec.parse("1 + x1 + x2 + x3", ("x1", "x2", "x3"))
+    assert DesignSpec((BasisTerm((0,), "x1"), BasisTerm((1,), "x2"))).labels == ("x1", "x2")
 
 
 def test_evaluate_design_columns():
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    spec = DesignSpec((intercept(), coordinate(1), product(0, 1), square(0)))
+    spec = DesignSpec.parse("1 + x2 + x1*x2 + x1^2", ("x1", "x2"))
     G = evaluate_design(X, spec)
     np.testing.assert_array_equal(G[:, 0], [1.0, 1.0])
     np.testing.assert_array_equal(G[:, 1], [2.0, 4.0])
@@ -66,7 +64,7 @@ def test_evaluate_design_columns():
 
 def test_evaluate_design_out_of_range_column():
     with pytest.raises(ValueError, match="references predictor"):
-        evaluate_design(np.ones((3, 1)), DesignSpec((coordinate(2),)))
+        evaluate_design(np.ones((3, 1)), DesignSpec((BasisTerm((2,), "x3"),)))
 
 
 def test_design_needs_terms():
