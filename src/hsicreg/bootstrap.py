@@ -29,10 +29,11 @@ entry, which also computed the observed statistic; its tiled kernel reads the
 frozen predictor Gram and works in T*n + 2*T^2 + 4*n floats that its thread reuses
 from one replicate, and one call, to the next; :func:`parallel_map` frees the
 calling thread's set before it starts a pool.  Every draw, a
-replicate's or a permutation's, re-keys its thread's one Philox generator
-(:func:`hsicreg._rng.replicate_stream`) to its stream instead of building a
-generator: ``substream(seed, replicate, redraw)`` for a replicate,
-``substream(seed, replicate)`` for a permutation.
+replicate's or a permutation's, resets its thread's one Philox generator
+(:func:`hsicreg._rng.replicate_stream`) instead of building one: the key is the
+seed's, and the counter tells the streams apart (Salmon, Moraes, Dror & Shaw,
+SC 2011), ``(0, replicate, redraw, 2)`` for a replicate and
+``(0, replicate, 0, 1)`` for a permutation.
 
 A permutation draw goes through the same kernel (:func:`_perm_draw`): it
 gathers the second Gram by the permutation and reads the first in tiles, so
@@ -123,12 +124,13 @@ class TestResult:
 def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The two independent resampling index vectors for one replicate.
 
-    Both vectors come from the stream :func:`~hsicreg._rng.substream` keys by
-    ``(seed, replicate, redraw)``, drawn from this thread's re-keyed generator:
-    first the predictor-row indices, then — independently, never paired — the
-    residual indices.  The pairs come back stably sorted by predictor index,
-    so a replicate gathers the predictor Gram in memory order; their
-    multiset, and so the statistic and its resampling law, is unchanged.
+    Both vectors come from the stream :func:`~hsicreg._rng.replicate_stream`
+    starts at the Philox counter ``(0, replicate, redraw, 2)`` under the
+    seed's key (Salmon et al., SC 2011): first the predictor-row indices,
+    then — independently, never paired — the residual indices.  The pairs
+    come back stably sorted by predictor index, so a replicate gathers the
+    predictor Gram in memory order; their multiset, and so the statistic
+    and its resampling law, is unchanged.
     """
     # One call of 2n draws is two calls of n: numpy buffers bounded draws in the generator's state.
     idx_x, idx_e = replicate_stream(seed, replicate, redraw).integers(0, n, size=2 * n).reshape(2, n)
@@ -312,7 +314,7 @@ def _curtailed_reject(
 
 
 def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, seed: int, replicate: int) -> float:
-    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``substream(seed, replicate)``."""
+    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``replicate_stream(seed, replicate)``."""
     perm = replicate_stream(seed, replicate).permutation(gram_u.shape[0])
     return _tiled_stat(gram_v, perm, lambda rows, cols, out: gram_u[rows, cols]).value
 

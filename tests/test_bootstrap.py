@@ -39,7 +39,7 @@ from hsicreg.bootstrap import (
     _replicate_stat,
     parallel_map,
 )
-from hsicreg._rng import _KEY_BLOCK, _philox_keys, replicate_stream, substream
+from hsicreg._rng import replicate_stream, substream
 from hsicreg.hsic import _residual_stat, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
@@ -51,6 +51,13 @@ def toy_data(seed, n=40, d0=2):
     X = rng.normal(size=(n, d0))
     y = 1.0 + X @ np.arange(1.0, d0 + 1.0) + rng.normal(size=n)
     return Dataset(X, y)
+
+
+def reference_stream(seed, replicate, *tail):
+    """A fresh generator at the documented key and counter of ``replicate_stream(seed, replicate, *tail)``."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    counter = np.array([0, replicate, tail[0] if tail else 0, 1 + len(tail)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def draw_alone(prep, seed, replicate):
@@ -82,20 +89,20 @@ class TestReplicateIndices:
         for seed, b, redraw in [(7, 3, 0), (7, 3, 1), (0, 12, 0)]:
             idx_x, idx_e = replicate_indices(seed, b, 200, redraw)
             assert (np.diff(idx_x) >= 0).all()
-            rng = substream(seed, b, redraw)
+            rng = reference_stream(seed, b, redraw)
             raw_x = rng.integers(0, 200, size=200)
             raw_e = rng.integers(0, 200, size=200)
             assert sorted(zip(idx_x.tolist(), idx_e.tolist())) == sorted(zip(raw_x.tolist(), raw_e.tolist()))
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**62 + 12345, 2**63 - 1, 2**70])
     def test_equal_to_the_substream_reference(self, seed):
-        """The re-keyed per-thread generator draws what a fresh ``substream`` draws, on both
-        sides of every key-block boundary and past one 32-bit word of replicate index."""
-        block = _KEY_BLOCK
-        replicates = [0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2**32 - 1, 2**32, 2**32 + block]
-        for redraw in (0, 1):
+        """The re-keyed per-thread generator draws what a fresh Philox at the replicate's
+        key and counter draws, for replicates and redraws past one 32-bit word and up to
+        the last 64-bit one."""
+        replicates = [0, 1, 63, 64, 65, 2**32 - 1, 2**32, 2**32 + 64, 2**64 - 1]
+        for redraw in (0, 1, 2**32, 2**64 - 1):
             for b in replicates:
-                rng = substream(seed, b, redraw)
+                rng = reference_stream(seed, b, redraw)
                 raw_x = rng.integers(0, 97, size=97)
                 raw_e = rng.integers(0, 97, size=97)
                 order = np.argsort(raw_x, kind="stable")
@@ -107,10 +114,10 @@ class TestReplicateIndices:
     def test_one_draw_of_2n_is_two_draws_of_n(self, n):
         """``replicate_indices`` splits one ``integers(0, n, size=2n)`` call in halves; numpy
         keeps its bounded-draw buffer in the generator's state, so the halves are two
-        consecutive ``integers(0, n, size=n)`` draws of the replicate's ``substream``."""
+        consecutive ``integers(0, n, size=n)`` draws of the replicate's stream."""
         for seed, b, redraw in [(0, 0, 0), (7, 3, 1), (2**70, 2**32 + 1, 0)]:
             both = replicate_stream(seed, b, redraw).integers(0, n, size=2 * n)
-            rng = substream(seed, b, redraw)
+            rng = reference_stream(seed, b, redraw)
             np.testing.assert_array_equal(both[:n], rng.integers(0, n, size=n))
             np.testing.assert_array_equal(both[n:], rng.integers(0, n, size=n))
 
@@ -120,36 +127,58 @@ class TestReplicateStream:
     @pytest.mark.parametrize("tail", [(), (0,), (1,), (2**32 - 1,), (2**32,), (2**40 + 5, 3)],
                              ids=lambda tail: "-".join(map(str, tail)) or "none")
     def test_key_blocks_equal_seed_sequence(self, seed, tail):
-        """Every block, on both sides of 2**32 and past 2**64, whatever the tail."""
-        for first in (0, _KEY_BLOCK, 2**32 - _KEY_BLOCK, 2**32, 2**64):
-            expected = [substream(seed, first + i, *tail).bit_generator.state["state"]["key"]
-                        for i in range(_KEY_BLOCK)]
-            np.testing.assert_array_equal(_philox_keys(seed, first, _KEY_BLOCK, tail), expected)
+        """Every replicate's key is the seed's ``SeedSequence`` state, on both sides of 2**32
+        and up to the last 64-bit replicate, and its counter is (0, replicate, redraw, 1 +
+        len(tail)); a tail of two words has no place in the counter and is refused."""
+        if len(tail) > 1:
+            with pytest.raises(ValueError, match=re.escape(repr(tail))):
+                replicate_stream(seed, 0, *tail)
+            return
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        for first in (0, 64, 2**32 - 64, 2**32, 2**64 - 64):
+            for b in range(first, first + 64):
+                state = replicate_stream(seed, b, *tail).bit_generator.state["state"]
+                np.testing.assert_array_equal(state["key"], key)
+                np.testing.assert_array_equal(state["counter"], [0, b, tail[0] if tail else 0, 1 + len(tail)])
 
-    def test_no_seed_sequence_is_built(self, monkeypatch):
-        """Every per-draw stream comes from the key port, at any word count."""
+    def test_one_seed_sequence_per_seed_per_thread(self, monkeypatch):
+        """A thread builds one ``SeedSequence`` for its seed, whatever the number of replicates,
+        redraws and permutations it draws under it, one more only when the seed changes,
+        and another thread builds its own."""
+        built = []
 
-        def refuse(*args):
-            raise AssertionError("SeedSequence built")
+        def counting(*args):
+            built.append(args)
+            return np.random.SeedSequence(*args)
 
-        monkeypatch.setattr("hsicreg._rng._seed_sequence", refuse)
-        replicate_stream(2**70, 2**32 + 5, 2**32).random()
-        data = toy_data(31)
-        run_test(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19))
+        replicate_stream(1, 0)
+        monkeypatch.setattr("hsicreg._rng._seed_sequence", counting)
         rng = np.random.default_rng(32)
-        permutation_pvalue(rng.normal(size=30), rng.normal(size=30), KernelSpec(), KernelSpec(),
-                           BootstrapConfig(replicates=19))
+        u, v, data = rng.normal(size=30), rng.normal(size=30), toy_data(31)
+        for seed, expected in [(2**70, [(2**70,)]), (31, [(31,)]), (31, []), (2**70, [(2**70,)])]:
+            built.clear()
+            replicate_stream(seed, 2**32 + 5, 2**32).random()
+            run_test(data, DesignSpec.main_effects(2), KernelSpec(), KernelSpec(),
+                     BootstrapConfig(replicates=19, seed=seed))
+            permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=19, seed=seed))
+            assert built == expected, seed
+        worker = threading.Thread(target=replicate_stream, args=(2**70, 0))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and built == [(2**70,), (2**70,)]
 
     @pytest.mark.parametrize("key", [(3, 5, 0), (3, 70, 1), (2**70, 2**32 - 1, 0), (3, 2**32, 0), (3, 5, 2**32),
                                      (3, 7), (2**70, 2**32 + 1)])
     def test_state_is_a_fresh_substream_state(self, key):
-        """Counter, key and the buffered words all restart, whatever was drawn before."""
+        """Counter, key and the buffered words all restart, whatever was drawn before: the
+        state is a fresh Philox's at the stream's key and counter."""
         replicate_stream(*key).integers(0, 2**40, size=3)
         rng = replicate_stream(key[0] + 1, 0)
         rng.random(5)  # move the counter and leave words in Philox's output buffer
         rng.integers(0, 7)  # leave a buffered 32-bit half-word
         assert rng.bit_generator.state["has_uint32"] == 1
-        assert repr(replicate_stream(*key).bit_generator.state) == repr(substream(*key).bit_generator.state)
+        want = reference_stream(*key).bit_generator.state
+        assert repr(replicate_stream(*key).bit_generator.state) == repr(want)
 
     def test_one_generator_per_thread(self):
         ours = replicate_stream(0, 0)
@@ -164,6 +193,38 @@ class TestReplicateStream:
         for key in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
             with pytest.raises(ValueError, match="nonnegative"):
                 replicate_stream(*key)
+
+    def test_keys_outside_the_counter_are_rejected(self):
+        """The counter holds one replicate word and one redraw word, each below 2**64."""
+        for key, value in [((0, 2**64), 2**64), ((0, 0, 2**64), 2**64), ((3, 2**70 + 1, 1), 2**70 + 1),
+                           ((0, 0, 2**40 + 5, 3), (2**40 + 5, 3)), ((0, 0, 0, 0), (0, 0))]:
+            with pytest.raises(ValueError, match=re.escape(str(value))):
+                replicate_stream(*key)
+        replicate_stream(0, 2**64 - 1, 2**64 - 1).random()
+
+    def test_distinct_counters_are_distinct_streams(self):
+        """Replicate, redraw and tag each move the counter, and no two of these twelve streams
+        share a drawn word: a permutation's stream (tag 1) is never a replicate's (tag 2)."""
+        counters = [(b, r, tag) for b in (0, 1, 2**32) for r in (0, 1, 2**32) for tag in (1, 2) if tag == 2 or r == 0]
+        words = {}
+        for b, r, tag in counters:
+            rng = replicate_stream(5, b, r) if tag == 2 else replicate_stream(5, b)
+            assert rng.bit_generator.state["state"]["counter"].tolist() == [0, b, r, tag]
+            words[b, r, tag] = rng.integers(0, 2**64, size=64, dtype=np.uint64)
+        every = np.concatenate(list(words.values()))
+        assert np.unique(every).size == every.size
+
+    @pytest.mark.parametrize("key", [(0, 0), (7, 3, 1), (2**70, 2**64 - 1, 2**64 - 1)])
+    def test_a_draw_moves_counter_word_0_only(self, key):
+        """A stream of 2n draws advances word 0, one per block of four words, and leaves the
+        words that name the stream where they were, so it never runs into another stream."""
+        for n in (2, 100, 1000):
+            rng = replicate_stream(*key)
+            start = rng.bit_generator.state["state"]["counter"].copy()
+            rng.integers(0, n, size=2 * n)
+            counter = rng.bit_generator.state["state"]["counter"]
+            assert start[0] == 0 and 0 < counter[0] <= 2 * n
+            np.testing.assert_array_equal(counter[1:], start[1:])
 
 
 class TestPvalueFromDraws:
@@ -350,7 +411,7 @@ def test_null_draw_matches_oracle_on_raw_pairs():
         prep = _prepared_for(data, design)
         draws = _null_draws(prep, 8, range(reps))
         for b in range(reps):
-            rng = substream(8, b, 0)
+            rng = replicate_stream(8, b, 0)
             idx_x = rng.integers(0, n, size=n)
             idx_e = rng.integers(0, n, size=n)
             G = prep.design[idx_x]
@@ -780,7 +841,7 @@ class TestPermutationBaseline:
         observed = hsic_vstat(gram_u, gram_v).value
         exceed = 0
         for b in range(49):
-            perm = substream(6, b).permutation(30)
+            perm = replicate_stream(6, b).permutation(30)
             exceed += hsic_vstat(gram_u, gram_v[np.ix_(perm, perm)]).value >= observed
         p = permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=49, seed=6))
         assert p == (1 + exceed) / 50
@@ -819,7 +880,7 @@ class TestPermutationBaseline:
         gram_u = gram_matrix(u, KernelSpec())
         gram_v = gram_matrix(v, KernelSpec())
         for b, got in enumerate(draws):
-            perm = substream(7, b).permutation(40)
+            perm = replicate_stream(7, b).permutation(40)
             assert got == pytest.approx(hsic_vstat(gram_u, gram_v[np.ix_(perm, perm)]).value, rel=1e-12), b
         assert len(draws) == 30
         assert p == pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)
@@ -850,12 +911,13 @@ class TestPermutationBaseline:
 
     @pytest.mark.parametrize("replicate", [0, 63, 64, 2**32])
     def test_draws_are_substream_permutations(self, replicate):
-        """A draw permutes by ``substream(seed, replicate)``, from the re-keyed generator."""
+        """A draw permutes by the stream at counter (0, replicate, 0, 1) under the seed's key,
+        from the re-keyed generator."""
         rng = np.random.default_rng(89)
         gram_u = gram_matrix(rng.normal(size=(37, 2)), KernelSpec())
         gram_v = gram_matrix(rng.normal(size=37), KernelSpec())
         for seed in (0, 2**70):
-            expected = substream(seed, replicate).permutation(37)
+            expected = reference_stream(seed, replicate).permutation(37)
             np.testing.assert_array_equal(replicate_stream(seed, replicate).permutation(37), expected)
             want = _tiled_stat(gram_v, expected, lambda rows, cols, out: gram_u[rows, cols]).value
             assert _perm_draw(gram_u, gram_v, seed, replicate) == want
@@ -980,6 +1042,17 @@ class TestNullDrawMeans:
         assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
 
 
+def _atom_ks(exact, draws):
+    """KS distance between sorted draws and a sorted exact law whose values equal up to
+    rounding are grouped into atoms; every draw must be one of the law's values."""
+    tol = 1e-9 * exact[-1]
+    nearest = exact[np.minimum(np.searchsorted(exact, draws - tol), exact.size - 1)]
+    assert (np.abs(nearest - draws) <= tol).all(), "a draw the enumeration never gives"
+    atoms = exact[np.append(np.diff(exact) > tol, True)] + tol
+    return np.abs(np.searchsorted(exact, atoms, side="right") / exact.size
+                  - np.searchsorted(draws, atoms, side="right") / draws.size).max()
+
+
 def test_draws_follow_the_enumerated_bootstrap_law():
     """At n = 4 the bootstrap law, refit included, is enumerable: 4^4 predictor-row index
     vectors times 4^4 residual index vectors, 65,536 equally likely pairs.  The 1,024 with
@@ -1010,15 +1083,59 @@ def test_draws_follow_the_enumerated_bootstrap_law():
     assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
 
     # Pairs that differ only in order give one value up to rounding: group them into atoms.
-    tol = 1e-9 * exact[-1]
-    nearest = exact[np.minimum(np.searchsorted(exact, draws - tol), exact.size - 1)]
-    assert (np.abs(nearest - draws) <= tol).all(), "a draw the enumeration never gives"
-    atoms = exact[np.append(np.diff(exact) > tol, True)] + tol
-    ks = np.abs(np.searchsorted(exact, atoms, side="right") / exact.size
-                - np.searchsorted(draws, atoms, side="right") / draws.size).max()
+    ks = _atom_ks(exact, draws)
     # Dvoretzky-Kiefer-Wolfowitz: P(KS > eps) <= 2 exp(-2 N eps^2) = 1e-6.
     eps = math.sqrt(math.log(2 / 1e-6) / (2 * draws.size))
     assert ks < eps, f"KS distance {ks:.4f} over the bound {eps:.4f}"
+
+
+def test_permutation_draws_follow_the_enumerated_law():
+    """At n = 6 the permutation law is enumerable: 720 equally likely permutations of the
+    second Gram.  4000 draws must match its variance (Mantel's exact permutation variance,
+    here by enumeration; z from the law's own fourth moment) and lie within a DKW bound of
+    it on the KS distance.  Draws that all share one permutation fail both."""
+    n = 6
+    rng = np.random.default_rng(90)
+    gram_u = gram_matrix(rng.normal(size=(n, 2)), KernelSpec())
+    gram_v = gram_matrix(rng.normal(size=n), KernelSpec())
+    exact = np.sort([hsic_sums(gram_u, gram_v[np.ix_(perm, perm)]).value
+                     for perm in map(list, itertools.permutations(range(n)))])
+    assert exact.size == 720
+    draws = np.sort([_perm_draw(gram_u, gram_v, 13, b) for b in range(4000)])
+
+    var = exact.var()
+    se = math.sqrt((((exact - exact.mean()) ** 4).mean() - var**2) / draws.size)
+    z = (draws.var(ddof=1) - var) / se
+    assert abs(z) < NULL_MEAN_Z, f"variance z = {z:.2f}"
+
+    ks = _atom_ks(exact, draws)
+    # Dvoretzky-Kiefer-Wolfowitz: P(KS > eps) <= 2 exp(-2 N eps^2) = 1e-6.
+    eps = math.sqrt(math.log(2 / 1e-6) / (2 * draws.size))
+    assert ks < eps, f"KS distance {ks:.4f} over the bound {eps:.4f}"
+
+
+#: Median KS distance allowed between the null draws and the Monte Carlo H0 law of the
+#: statistic, fixed before the test's first run.
+LAW_KS = 0.35
+
+
+@pytest.mark.parametrize("model", ["model1", "model2"])
+def test_bootstrap_law_matches_the_monte_carlo_law(model):
+    """Bootstrap consistency at the n where p-values are read: given the data, the law of
+    the null draws approaches the H0 sampling law of n V.  At n = 100 the draws of eight
+    H0 datasets (B = 1000) are compared with 1000 fresh H0 draws of the observed
+    statistic; the median KS distance must stay under LAW_KS.  Neither a bootstrap that
+    skips the refit nor one that pairs its two index streams does."""
+    from scipy.stats import ks_2samp
+
+    spec = ModelSpec(model, n=100)
+    design, kernels = working_design(spec), study_kernels(spec.dim)
+    mc = [prepare_stat(draw_model(spec, substream(11, r)).data, design, *kernels).observed.scaled
+          for r in range(1000)]
+    ks = [ks_2samp(run_test(draw_model(spec, substream(12, r)).data, design, *kernels,
+                            BootstrapConfig(replicates=1000, seed=r)).null_draws, mc).statistic
+          for r in range(8)]
+    assert np.median(ks) < LAW_KS, f"KS distances {np.round(ks, 3)}"
 
 
 def test_bootstrap_config_validation():
