@@ -30,7 +30,7 @@ def text_hist(values, edges, title):
 
 def main() -> None:
     kernel_x, kernel_e = study_kernels(1)
-    spec = ModelSpec("linear1d", n=N, noise_sd=float(np.sqrt(0.1)))
+    spec = ModelSpec("linear1d", n=N)
     result = null_distribution_contrast(spec, kernel_x, kernel_e, REPS, seed=SEED)
     both = np.concatenate([result.residual_stats, result.error_stats])
     edges = np.histogram_bin_edges(both, bins=12)

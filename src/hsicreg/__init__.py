@@ -43,9 +43,6 @@ from .simulate import (
     monotonicity_report,
     null_distribution_contrast,
     power_study,
-    simulate_linear1d,
-    simulate_model1,
-    simulate_model2,
     working_design,
 )
 
@@ -84,9 +81,6 @@ __all__ = [
     "replicate_indices",
     "resolve_bandwidth",
     "run_test",
-    "simulate_linear1d",
-    "simulate_model1",
-    "simulate_model2",
     "standardize",
     "study_kernels",
     "working_design",

@@ -37,7 +37,9 @@ SC 2011), ``(0, replicate, redraw, 2)`` for a replicate and
 
 A permutation draw goes through the same kernel (:func:`_perm_draw`): it
 gathers the second Gram by the permutation and reads the first in tiles, so
-the baseline holds its two n x n Grams and nothing else that size.
+the baseline holds its two n x n Grams and nothing else that size.  Every
+permutation has the same index counts, so one call computes the kernel's row
+sums once for all its draws.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ import numpy as np
 
 from ._rng import replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _free_work_memory, _residual_stat, _tiled_stat, hsic_vstat, prepare_stat
+from .hsic import PreparedStat, _free_work_memory, _residual_stat, _row_sums, _tiled_stat, hsic_vstat, prepare_stat
 from .kernels import KernelSpec, _check_gram_fits, as_points, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
@@ -134,7 +136,9 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     """
     # One call of 2n draws is two calls of n: numpy buffers bounded draws in the generator's state.
     idx_x, idx_e = replicate_stream(seed, replicate, redraw).integers(0, n, size=2 * n).reshape(2, n)
-    order = np.argsort(idx_x, kind="stable")
+    # A stable sort's order is unique, so the narrowest key that holds n - 1 gives the same
+    # bits as int64, and numpy radix-sorts 8- and 16-bit keys.
+    order = np.argsort(idx_x.astype(np.min_scalar_type(n - 1)), kind="stable")
     return idx_x[order], idx_e[order]
 
 
@@ -313,10 +317,11 @@ def _curtailed_reject(
     return _add_one_pvalue(exceedances, B) <= alpha
 
 
-def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, seed: int, replicate: int) -> float:
-    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``replicate_stream(seed, replicate)``."""
+def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, row_sums: np.ndarray, seed: int, replicate: int) -> float:
+    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``replicate_stream(seed, replicate)``;
+    ``row_sums`` is ``_row_sums(gram_v, perm)``, the same for every permutation ``perm``."""
     perm = replicate_stream(seed, replicate).permutation(gram_u.shape[0])
-    return _tiled_stat(gram_v, perm, lambda rows, cols, out: gram_u[rows, cols]).value
+    return _tiled_stat(gram_v, perm, row_sums, lambda rows, cols, out: gram_u[rows, cols]).value
 
 
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
@@ -331,7 +336,7 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     _check_gram_fits(len(u), grams=2)
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
-    draw = partial(_perm_draw, gram_u, gram_v, config.seed)
+    draw = partial(_perm_draw, gram_u, gram_v, _row_sums(gram_v, np.arange(len(u))), config.seed)
     draws = parallel_map(draw, range(int(config.replicates)), config.workers)
     # The observed statistic is the identity permutation's draw: hsic_vstat makes the same call.
     return pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)

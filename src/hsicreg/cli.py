@@ -31,19 +31,9 @@ from .bootstrap import BootstrapConfig, run_test
 from .errors import BootstrapAbortError, MemoryLimitError, SingularDesignError
 from .kernels import MEDIAN, KernelSpec, study_kernels
 from .linreg import Dataset, DesignSpec
-from .simulate import (
-    LINEAR1D,
-    MODEL1,
-    MODEL2,
-    ModelSpec,
-    draw_model,
-    null_distribution_contrast,
-    power_study,
-)
+from .simulate import _MODELS, LINEAR1D, ModelSpec, draw_model, null_distribution_contrast, power_study
 
 SCHEMA_VERSION = 1
-
-_BUILTIN_MODELS = (MODEL1, MODEL2, LINEAR1D)
 
 #: What a subcommand's handler returns: the JSON payload, the CSV header and the CSV rows.
 Artifact = tuple[dict, list[str], Iterable]
@@ -175,14 +165,6 @@ def _write_artifact(args, payload: dict, header: list[str], rows: Iterable) -> N
         sys.stdout.write(text)
 
 
-def _model_spec(args, n: int, a: float, lam: float) -> ModelSpec:
-    """The cell ``(n, a, lam)`` of ``args.model``; an unset ``--noise-sd`` takes the model's default."""
-    noise_sd = args.noise_sd
-    if noise_sd is None:
-        noise_sd = math.sqrt(0.1) if args.model == LINEAR1D else 1.0
-    return ModelSpec(model=args.model, n=n, a=a, lam=lam, noise_sd=noise_sd)
-
-
 def _reject_unused(source: str, given: dict[str, bool]) -> None:
     """Raise ``ValueError`` naming each flag of ``given`` that is set; ``source`` reads none of them."""
     unused = [flag for flag, is_set in given.items() if is_set]
@@ -214,7 +196,7 @@ def _dataset_for_test(args) -> tuple[Dataset, str]:
                                "--predictors": args.predictors is not None})
     if args.n is None:
         raise ValueError("--model requires --n SIZE")
-    spec = _model_spec(args, args.n, args.a, args.lam)
+    spec = ModelSpec(args.model, args.n, args.a, args.lam, args.noise_sd)
     sim = draw_model(spec, substream(args.seed, 0))
     print(f"simulated {spec.model} with n={spec.n}, a={spec.a}, lambda={spec.lam}", file=sys.stderr)
     return sim.data, spec.model
@@ -258,7 +240,7 @@ def cmd_test(args) -> Artifact:
 
 
 def cmd_simulate(args) -> Artifact:
-    spec = _model_spec(args, args.n, args.a, args.lam)
+    spec = ModelSpec(args.model, args.n, args.a, args.lam, args.noise_sd)
     sim = draw_model(spec, substream(args.seed, 0))
     columns = list(sim.data.names()) + ["y", "error"]
     matrix = np.column_stack([sim.data.predictors, sim.data.response, sim.errors])
@@ -278,7 +260,7 @@ def cmd_simulate(args) -> Artifact:
 
 
 def cmd_power(args) -> Artifact:
-    grid = [_model_spec(args, n, a, lam) for n in args.n for a in args.a for lam in args.lam]
+    grid = [ModelSpec(args.model, n, a, lam, args.noise_sd) for n in args.n for a in args.a for lam in args.lam]
     config = BootstrapConfig(replicates=args.B, seed=args.seed, workers=args.workers)
     table = power_study(grid, args.alpha, config, args.reps)
     cells = [{("lambda" if k == "lam" else k): v for k, v in asdict(c).items()} for c in table.cells]
@@ -295,7 +277,7 @@ def cmd_power(args) -> Artifact:
 
 
 def cmd_contrast(args) -> Artifact:
-    spec = _model_spec(args, args.n, args.a, args.lam)
+    spec = ModelSpec(args.model, args.n, args.a, args.lam, args.noise_sd)
     kernel_x, kernel_e = _kernels_from_args(args, spec.dim)
     # A warning, such as too few replications, becomes a plain stderr line, not a source location.
     with warnings.catch_warnings(record=True) as caught:
@@ -357,7 +339,7 @@ def _add_model_flags(p: argparse.ArgumentParser, n_required: bool, model_require
                      grid: bool = False) -> None:
     """The flags of a model cell; with ``grid``, --n, --a and --lambda take comma-separated lists."""
     kind, many = (_comma_list, " (comma-separated list)") if grid else ((lambda k: k), "")
-    p.add_argument("--model", choices=_BUILTIN_MODELS, required=model_required, default=None)
+    p.add_argument("--model", choices=tuple(_MODELS), required=model_required, default=None)
     p.add_argument("--n", type=kind(int), required=n_required, default=None, help=f"sample size{many}")
     # A string default goes through the flag's type: 0.0, or [0.0] with grid.
     p.add_argument("--a", type=kind(float), default="0", help=f"coefficient of the omitted nonlinear term{many}")

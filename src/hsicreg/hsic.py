@@ -111,27 +111,37 @@ def hsic_vstat(K, L) -> HsicValue:
     strips, or tiles through a reused buffer, was no cheaper.
     """
     K, L, n = _check_gram_pair(K, L)
-    return _tiled_stat(L, np.arange(n), lambda rows, cols, out: K[rows, cols])
+    idx = np.arange(n)
+    return _tiled_stat(L, idx, _row_sums(L, idx), lambda rows, cols, out: K[rows, cols])
 
 
-def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:
+def _row_sums(K: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Kc, with c the counts of ``idx`` in 0..N-1 for the N x N Gram ``K``: the
+    argument :func:`_tiled_stat` reads for ``K[idx, idx]``.  Any permutation
+    of 0..n-1 has the same counts, all ones."""
+    return np.einsum("ij,j->i", K, np.bincount(idx, minlength=K.shape[0]).astype(float))
+
+
+def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: np.ndarray, tile: Callable) -> HsicValue:
     """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L read from ``tile``, tile by tile.
 
     ``idx`` holds n row indices into the read-only, exactly symmetric Gram
-    ``K``; ``tile(rows, cols, out)`` returns block [rows, cols] of the
-    symmetric Gram L, built into the work buffer ``out`` or read from memory
-    the source holds.  Neither n x n matrix is formed; the kernel works in
-    T*n + 2*T^2 + 4*n floats that its thread keeps from one call to the next
-    (:func:`_work_arrays`) until a call at another n asks for new shapes or a
-    process pool starts (:func:`_free_work_memory`):
+    ``K``, and ``row_sums`` is :func:`_row_sums` of ``K`` and ``idx``, which a
+    caller drawing many permutations computes once; ``tile(rows, cols, out)``
+    returns block [rows, cols] of the symmetric Gram L, built into the work
+    buffer ``out`` or read from memory the source holds.  Neither n x n
+    matrix is formed; the kernel works in T*n + 2*T^2 + 4*n floats that its
+    thread keeps from one call to the next (:func:`_work_arrays`) until a
+    call at another n asks for new shapes or a process pool starts
+    (:func:`_free_work_memory`):
 
     * the gathered Gram is centered through index counts: with c the counts
-      of ``idx`` and Kc = K c, its row means are u = Kc[idx] / n and its
-      grand mean is g = c'Kc / n^2 = sum_i Kc[idx_i] / n^2, so a centered
-      tile is K[idx_I, idx_J] - (u_I + w_J) with w = u - g.  The offsets
-      u_I + w_J are the product ``[u_I, 1] @ [1; w_J]``, written into the L
-      buffer before the L tile overwrites it, so one contiguous subtraction
-      centers the tile;
+      of ``idx`` and Kc = K c (``row_sums``), its row means are
+      u = Kc[idx] / n and its grand mean is g = c'Kc / n^2 =
+      sum_i Kc[idx_i] / n^2, so a centered tile is K[idx_I, idx_J] -
+      (u_I + w_J) with w = u - g.  The offsets u_I + w_J are the product
+      ``[u_I, 1] @ [1; w_J]``, written into the L buffer before the L tile
+      overwrites it, so one contiguous subtraction centers the tile;
     * both matrices are symmetric, so only tiles with J >= I are formed and
       each off-diagonal tile's sum counts twice.
 
@@ -142,8 +152,7 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, tile: Callable) -> HsicValue:
     n = idx.shape[0]
     t = min(_TILE, n)
     rows, k_flat, l_flat, row_ops, col_ops = _work_arrays((t, n), (t * t,), (t * t,), (n, 2), (2, n))
-    counts = np.bincount(idx, minlength=K.shape[0]).astype(float)
-    row_sums = np.einsum("ij,j->i", K, counts)[idx]
+    row_sums = row_sums[idx]
     # c'Kc = sum_i Kc[idx_i], summed exactly: an error in g is multiplied by
     # the sum of all of L, which no centering cancels.
     grand = math.fsum(row_sums.tolist()) / n**2
@@ -179,7 +188,8 @@ def _residual_stat(gram_x: np.ndarray, idx: np.ndarray, residuals: np.ndarray, b
     :func:`~hsicreg.kernels.gram_matrix`, since both prescale the points the same way and
     build tiles with ``_gram_tile``; the operands are built once, here."""
     left, right = _difference_operands((residuals / bandwidth).reshape(-1, 1))
-    return _tiled_stat(gram_x, idx, lambda rows, cols, out: _gram_tile(left[:, rows], right[:, :, cols], out))
+    tile = lambda rows, cols, out: _gram_tile(left[:, rows], right[:, :, cols], out)
+    return _tiled_stat(gram_x, idx, _row_sums(gram_x, idx), tile)
 
 
 def hsic_sums(K, L) -> HsicValue:

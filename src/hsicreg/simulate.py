@@ -1,6 +1,6 @@
 """Data generators and the Monte Carlo size/power harness.
 
-Three built-in generators:
+Three built-in models, drawn by :func:`draw_model`:
 
 * ``model1`` — response ``2 + 5*x1 - x2 + a*x1*x2`` plus noise, four
   predictors i.i.d. uniform on (0,1); ``a`` scales an interaction the working
@@ -16,7 +16,9 @@ Three built-in generators:
 The noise is conditionally normal given x1 with variance
 ``noise_sd^2 * (10 + lam*|x1|)/10``, so ``lam = 0`` gives homoscedastic noise
 with standard deviation ``noise_sd``, and ``lam`` strengthens a dependence of
-scale on x1 that the mean model cannot absorb.
+scale on x1 that the mean model cannot absorb.  A :class:`ModelSpec` without
+``noise_sd`` takes its model's default from :data:`_MODELS`: sqrt(0.1) for
+``linear1d``, else 1.
 
 The working (possibly misspecified) fit used by the harness for model1/model2
 is the main-effects design {1, x1, x2, x3, x4}; lack of fit exists exactly
@@ -38,7 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +54,6 @@ from .linreg import Dataset, DesignSpec
 MODEL1 = "model1"
 MODEL2 = "model2"
 LINEAR1D = "linear1d"
-
-#: Predictor dimension of each built-in model.
-_DIM = {MODEL1: 4, MODEL2: 4, LINEAR1D: 1}
 
 #: Reference rejection percentages (alpha = 0.05, n = 100) of the
 #: residual-dependence statistic implemented here, for the lack-of-fit sweep
@@ -79,11 +78,13 @@ class ModelSpec:
     n: int
     a: float = 0.0
     lam: float = 0.0
-    noise_sd: float = 1.0
+    noise_sd: float | None = None  # None takes the model's default
 
     def __post_init__(self) -> None:
-        if self.model not in _DIM:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        if self.noise_sd is None:
+            object.__setattr__(self, "noise_sd", _MODELS[self.model][1])
         check_integer("n", self.n)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
@@ -99,7 +100,7 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         """Predictor dimension of the model."""
-        return _DIM[self.model]
+        return _MODELS[self.model][0]
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def _noise(spec: ModelSpec, x1: np.ndarray, rng: np.random.Generator) -> np.ndar
     return sd * rng.standard_normal(x1.shape[0])
 
 
-def simulate_model1(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
+def _model1(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """Uniform predictors; mean 2 + 5*x1 - x2 + a*x1*x2."""
     X = rng.random((int(spec.n), spec.dim))
     errors = _noise(spec, X[:, 0], rng)
@@ -129,7 +130,7 @@ _EQUICORR_CHOL = np.linalg.cholesky(
 )
 
 
-def simulate_model2(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
+def _model2(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """Correlated normal + Bernoulli predictors; mean x1 + a*x2^2 + 2*x4."""
     n = int(spec.n)
     X123 = rng.standard_normal((n, 3)) @ _EQUICORR_CHOL.T
@@ -140,7 +141,7 @@ def simulate_model2(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     return SimulatedData(Dataset(X, mean + errors), errors)
 
 
-def simulate_linear1d(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
+def _linear1d(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """Single standard-normal predictor; mean 1 + x1."""
     X = rng.standard_normal((int(spec.n), 1))
     errors = _noise(spec, X[:, 0], rng)
@@ -148,16 +149,17 @@ def simulate_linear1d(spec: ModelSpec, rng: np.random.Generator) -> SimulatedDat
     return SimulatedData(Dataset(X, mean + errors), errors)
 
 
-_GENERATORS: dict[str, Callable[[ModelSpec, np.random.Generator], SimulatedData]] = {
-    MODEL1: simulate_model1,
-    MODEL2: simulate_model2,
-    LINEAR1D: simulate_linear1d,
+#: Each built-in model's predictor dimension, default noise sd and generator, in the CLI's order.
+_MODELS = {
+    MODEL1: (4, 1.0, _model1),
+    MODEL2: (4, 1.0, _model2),
+    LINEAR1D: (1, math.sqrt(0.1), _linear1d),
 }
 
 
 def draw_model(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """One draw of ``spec`` from its built-in generator."""
-    return _GENERATORS[spec.model](spec, rng)
+    return _MODELS[spec.model][2](spec, rng)
 
 
 def working_design(spec: ModelSpec) -> DesignSpec:

@@ -159,7 +159,7 @@ def test_c07_lack_of_fit_power_model2(capsys):
 
 
 def test_c08_residual_vs_error_contrast(capsys):
-    spec = ModelSpec("linear1d", n=100, noise_sd=float(np.sqrt(0.1)))
+    spec = ModelSpec("linear1d", n=100)
     kernel_x, kernel_e = study_kernels(1)
     critical = 1.628 * np.sqrt(2.0 / 500.0)
     res = null_distribution_contrast(spec, kernel_x, kernel_e, 500, seed=SEED, workers=1)

@@ -36,6 +36,9 @@ def test_every_exported_name_resolves():
         ("square", "linreg"),  # use BasisTerm((j, j), label), or DesignSpec.parse
         ("product", "linreg"),  # use BasisTerm((i, j), label), or DesignSpec.parse
         ("parse_design", "cli"),  # use DesignSpec.parse(text, names)
+        ("simulate_model1", "simulate"),  # use draw_model(ModelSpec("model1", ...), rng)
+        ("simulate_model2", "simulate"),  # use draw_model(ModelSpec("model2", ...), rng)
+        ("simulate_linear1d", "simulate"),  # use draw_model(ModelSpec("linear1d", ...), rng)
     ],
 )
 def test_removed_names_are_gone(name, module):

@@ -40,7 +40,7 @@ from hsicreg.bootstrap import (
     parallel_map,
 )
 from hsicreg._rng import replicate_stream, substream
-from hsicreg.hsic import _residual_stat, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
+from hsicreg.hsic import _residual_stat, _row_sums, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
 from test_hsic import fsum_hsic
@@ -93,6 +93,18 @@ class TestReplicateIndices:
             raw_x = rng.integers(0, 200, size=200)
             raw_e = rng.integers(0, 200, size=200)
             assert sorted(zip(idx_x.tolist(), idx_e.tolist())) == sorted(zip(raw_x.tolist(), raw_e.tolist()))
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 257, 65536, 65537])
+    def test_narrow_sort_key_equals_the_int64_sort(self, n):
+        """The pairs are sorted on the narrowest unsigned key that holds n - 1; a stable
+        sort's order is unique, so it is the int64 sort's on each side of 8 and 16 bits."""
+        for seed, b in [(0, 0), (7, 3)]:
+            raw_x, raw_e = replicate_stream(seed, b, 0).integers(0, n, size=2 * n).reshape(2, n)
+            order = np.argsort(raw_x, kind="stable")
+            idx_x, idx_e = replicate_indices(seed, b, n)
+            assert idx_x.dtype == idx_e.dtype == np.int64
+            np.testing.assert_array_equal(idx_x, raw_x[order])
+            np.testing.assert_array_equal(idx_e, raw_e[order])
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**62 + 12345, 2**63 - 1, 2**70])
     def test_equal_to_the_substream_reference(self, seed):
@@ -919,8 +931,26 @@ class TestPermutationBaseline:
         for seed in (0, 2**70):
             expected = reference_stream(seed, replicate).permutation(37)
             np.testing.assert_array_equal(replicate_stream(seed, replicate).permutation(37), expected)
-            want = _tiled_stat(gram_v, expected, lambda rows, cols, out: gram_u[rows, cols]).value
-            assert _perm_draw(gram_u, gram_v, seed, replicate) == want
+            tile = lambda rows, cols, out: gram_u[rows, cols]
+            want = _tiled_stat(gram_v, expected, _row_sums(gram_v, expected), tile).value
+            assert _perm_draw(gram_u, gram_v, _row_sums(gram_v, np.arange(37)), seed, replicate) == want
+
+    @pytest.mark.parametrize("replicates", [3, 9])
+    def test_draws_share_one_row_sum_product(self, monkeypatch, replicates):
+        """Every permutation's index counts are all ones, so the B draws of one call share
+        one product K c; ``hsic_vstat`` makes the other, for the observed statistic."""
+        products = []
+        einsum = np.einsum
+
+        def counting(subscripts, *operands, **kwargs):
+            products.append(subscripts == "ij,j->i")
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        rng = np.random.default_rng(92)
+        u, v = rng.normal(size=(30, 2)), rng.normal(size=30)
+        permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=replicates, seed=3))
+        assert sum(products) == 2
 
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)
@@ -1037,7 +1067,8 @@ class TestNullDrawMeans:
         gram_u = gram_matrix(X, KernelSpec(bandwidth=2.0))
         gram_v = gram_matrix(y, KernelSpec(bandwidth=1.0))
         mean = n / (n - 1) * (1 - gram_u.mean()) * (1 - gram_v.mean())
-        draws = [n * _perm_draw(gram_u, gram_v, 11, b) for b in range(NULL_MEAN_DRAWS)]
+        row_sums = _row_sums(gram_v, np.arange(n))
+        draws = [n * _perm_draw(gram_u, gram_v, row_sums, 11, b) for b in range(NULL_MEAN_DRAWS)]
         z = _z(draws, mean)
         assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
 
@@ -1101,7 +1132,8 @@ def test_permutation_draws_follow_the_enumerated_law():
     exact = np.sort([hsic_sums(gram_u, gram_v[np.ix_(perm, perm)]).value
                      for perm in map(list, itertools.permutations(range(n)))])
     assert exact.size == 720
-    draws = np.sort([_perm_draw(gram_u, gram_v, 13, b) for b in range(4000)])
+    row_sums = _row_sums(gram_v, np.arange(n))
+    draws = np.sort([_perm_draw(gram_u, gram_v, row_sums, 13, b) for b in range(4000)])
 
     var = exact.var()
     se = math.sqrt((((exact - exact.mean()) ** 4).mean() - var**2) / draws.size)

@@ -172,6 +172,19 @@ class TestSimulateCommand:
         np.testing.assert_array_equal(got[:, 4], sim.data.response)
         np.testing.assert_array_equal(got[:, 5], sim.errors)
 
+    @pytest.mark.parametrize("model", ["model1", "model2", "linear1d"])
+    def test_json_rows_are_draw_model_with_the_spec_defaults(self, capsys, model):
+        """The CLI adds no default of its own: a spec built without knobs draws what
+        ``hsicreg simulate`` writes, row for row and bit for bit, at the same noise sd."""
+        code, out, _ = run_main(capsys, ["simulate", "--model", model, "--n", "40", "--seed", "3", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        spec = ModelSpec(model, n=40)
+        sim = draw_model(spec, substream(3, 0))
+        rows = np.column_stack([sim.data.predictors, sim.data.response, sim.errors])
+        assert payload["rows"] == rows.tolist()
+        assert payload["noise_sd"] == spec.noise_sd
+
     def test_json_payload(self, capsys):
         code, out, _ = run_main(
             capsys, ["simulate", "--model", "linear1d", "--n", "5", "--format", "json"]

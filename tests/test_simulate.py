@@ -1,5 +1,7 @@
 """Generators, the conditional noise law, and the power-study harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,6 @@ from hsicreg import (
     monotonicity_report,
     power_study,
     run_test,
-    simulate_linear1d,
-    simulate_model1,
-    simulate_model2,
     study_kernels,
     working_design,
 )
@@ -30,6 +29,9 @@ class TestModelSpec:
         assert ModelSpec("model1", n=100).dim == 4
         assert ModelSpec("model2", n=100).dim == 4
         assert ModelSpec("linear1d", n=100).dim == 1
+        assert ModelSpec("model1", n=5).noise_sd == ModelSpec("model2", n=5).noise_sd == 1.0
+        assert ModelSpec("linear1d", n=5).noise_sd == math.sqrt(0.1)
+        assert ModelSpec("linear1d", n=5, noise_sd=2.0).noise_sd == 2.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,7 +68,7 @@ class TestModelSpec:
 class TestGenerators:
     def test_model1_response_is_mean_plus_errors(self):
         spec = ModelSpec("model1", n=200, a=3.0, lam=10.0)
-        sim = simulate_model1(spec, np.random.default_rng(1))
+        sim = draw_model(spec, np.random.default_rng(1))
         X = sim.data.predictors
         mean = 2.0 + 5.0 * X[:, 0] - X[:, 1] + spec.a * X[:, 0] * X[:, 1]
         np.testing.assert_array_equal(sim.data.response, mean + sim.errors)
@@ -75,13 +77,13 @@ class TestGenerators:
 
     def test_model2_response_is_mean_plus_errors(self):
         spec = ModelSpec("model2", n=150, a=0.5)
-        sim = simulate_model2(spec, np.random.default_rng(2))
+        sim = draw_model(spec, np.random.default_rng(2))
         X = sim.data.predictors
         mean = X[:, 0] + spec.a * X[:, 1] ** 2 + 2.0 * X[:, 3]
         np.testing.assert_array_equal(sim.data.response, mean + sim.errors)
 
     def test_linear1d_response_is_mean_plus_errors(self):
-        sim = simulate_linear1d(ModelSpec("linear1d", n=80), np.random.default_rng(3))
+        sim = draw_model(ModelSpec("linear1d", n=80), np.random.default_rng(3))
         np.testing.assert_array_equal(
             sim.data.response, 1.0 + sim.data.predictors[:, 0] + sim.errors
         )
@@ -89,7 +91,7 @@ class TestGenerators:
     def test_model2_predictor_laws(self):
         """x1..x3 equicorrelated at 0.5, x4 Bernoulli(0.4)."""
         spec = ModelSpec("model2", n=60_000)
-        sim = simulate_model2(spec, np.random.default_rng(4))
+        sim = draw_model(spec, np.random.default_rng(4))
         X = sim.data.predictors
         corr = np.corrcoef(X[:, :3].T)
         off = corr[np.triu_indices(3, k=1)]
@@ -118,12 +120,12 @@ class TestNoiseLaw:
     """Conditional variance is noise_sd^2 * (10 + lam*|x1|)/10."""
 
     def test_lam_zero_is_homoscedastic(self):
-        sim = simulate_linear1d(ModelSpec("linear1d", n=400_000), np.random.default_rng(6))
+        sim = draw_model(ModelSpec("linear1d", n=400_000, noise_sd=1.0), np.random.default_rng(6))
         assert abs(sim.errors.var() - 1.0) < 0.01
 
     @pytest.mark.parametrize("model,lam", [("model1", 0.0), ("model1", 50.0), ("linear1d", 25.0)])
     def test_marginal_variance_matches_formula(self, model, lam):
-        spec = ModelSpec(model, n=400_000, lam=lam)
+        spec = ModelSpec(model, n=400_000, lam=lam, noise_sd=1.0)
         sim = draw_model(spec, np.random.default_rng(7))
         x1 = sim.data.predictors[:, 0]
         implied = np.mean((10.0 + lam * np.abs(x1)) / 10.0)
@@ -155,7 +157,7 @@ class TestNoiseLaw:
 def test_model1_marginals_are_uniform():
     from scipy.stats import kstest
 
-    sim = simulate_model1(ModelSpec("model1", n=100_000), np.random.default_rng(10))
+    sim = draw_model(ModelSpec("model1", n=100_000), np.random.default_rng(10))
     for j in range(4):
         assert kstest(sim.data.predictors[:, j], "uniform").pvalue > 0.01
 
