@@ -13,16 +13,32 @@ Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 at the counter ``(0, replicate, redraw, 1 + len(tail))``: ``(0, b, 0, 1)`` for
 permutation b, ``(0, b, r, 2)`` for bootstrap replicate b's redraw r.  A stream
 advances only counter word 0, which holds 2**64 blocks, so no two overlap.
+
+:func:`check_integer` is the one rule for every seed, stream key, count and
+worker number in the package: a float or a bool is refused, never truncated.
 """
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
 
 
+def check_integer(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an ``int``; a ValueError naming ``name`` and the value if it is a bool,
+    has no ``__index__`` (numpy integers have one) or is below ``minimum``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be {'nonnegative' if minimum == 0 else f'>= {minimum}'}, got {value}")
+    return value
+
+
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=_checked(seed), spawn_key=tuple(_checked(k) for k in key))
+    seed = check_integer("seed", seed)
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(check_integer("stream key", k) for k in key))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -33,13 +49,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def derive_seed(seed: int, *key: int) -> int:
     """Collapse ``(seed, *key)`` into a single reusable 63-bit integer seed."""
     return int(_seed_sequence(seed, *key).generate_state(1, np.uint64)[0] >> np.uint64(1))
-
-
-def _checked(value: int) -> int:
-    out = int(value)
-    if out < 0:
-        raise ValueError(f"seeds and stream keys must be nonnegative integers, got {value!r}")
-    return out
 
 
 class _Streams(threading.local):
@@ -62,7 +71,8 @@ def replicate_stream(seed: int, replicate: int, *tail: int) -> np.random.Generat
     """
     if len(tail) > 1:
         raise ValueError(f"a stream takes at most one redraw word after the replicate, got {tail!r}")
-    seed, words = _checked(seed), [_checked(word) for word in (replicate, *tail)]
+    seed = check_integer("seed", seed)
+    words = [check_integer(name, word) for name, word in zip(("replicate", "redraw"), (replicate, *tail))]
     if max(words) >= 1 << 64:
         raise ValueError(f"replicates and redraws must be below 2**64, got {max(words)}")
     if _streams.generator is None:  # built on first use: importing the package loads no numpy.random

@@ -39,11 +39,11 @@ A permutation draw goes through the same kernel (:func:`_perm_draw`): it
 gathers the second Gram by the permutation and reads the first in tiles, so
 the baseline holds its two n x n Grams and nothing else that size.  Every
 permutation has the same index counts, so one call computes the kernel's row
-sums once for all its draws.
+sums and their exact total once, for all its draws and for the observed
+statistic, the identity permutation's draw.
 """
 from __future__ import annotations
 
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -52,9 +52,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._rng import replicate_stream
+from ._rng import check_integer, replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _free_work_memory, _residual_stat, _row_sums, _tiled_stat, hsic_vstat, prepare_stat
+from .hsic import PreparedStat, _free_work_memory, _residual_stat, _row_sums, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, _check_gram_fits, as_points, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
@@ -63,20 +63,6 @@ _BLOCK = 16
 #: ... and the most bytes their rows [G* | e*] take (one replicate is always
 #: allowed): under glibc's default mmap threshold, so the heap serves each stack.
 _BLOCK_BYTES = 1 << 17
-
-
-def check_integer(name: str, value) -> None:
-    """Raise ValueError naming the knob unless ``value`` is an integer.
-
-    Anything with ``__index__`` passes (numpy integers too); bools and
-    non-integral numbers do not, so no count or seed is silently truncated.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_alpha(alpha: float) -> None:
@@ -94,14 +80,8 @@ class BootstrapConfig:
     workers: int = 1  # 0 = one worker per usable CPU
 
     def __post_init__(self) -> None:
-        for name in ("replicates", "seed", "workers"):
-            check_integer(name, getattr(self, name))
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("replicates", 1), ("seed", 0), ("workers", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
 
 
 @dataclass(frozen=True)
@@ -201,19 +181,19 @@ def _apply_worker_fn(item):
     return _worker_fn(item)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform has one.
-
-    ``os.cpu_count()`` counts the host's CPUs, more than a cpuset-limited
-    container may use.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _pool_size(workers: int, items: int) -> int:
+    """The processes a pool over ``items`` items starts: ``workers``, at most one per item
+    (a ``fork`` pool starts them all at its first task).  0 is one per CPU in the process's
+    affinity set where the platform has one: ``os.cpu_count()`` counts the host's CPUs,
+    more than a cpuset-limited container may use."""
+    workers = check_integer("workers", workers)
+    if workers == 0:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, items)
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on ``workers`` processes (0 = one per usable CPU).
+    """``[fn(item) for item in items]`` on :func:`_pool_size` processes.
 
     Results keep item order, so they never depend on the worker count.  With
     more than one worker, ``fn`` is installed once per worker by the pool's
@@ -221,11 +201,8 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     carry only items; ``fn`` and the items must still pickle for the other
     start methods.
     """
-    workers = int(workers)
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    workers = workers or _usable_cpus()
-    if workers == 1:
+    workers = _pool_size(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     chunk = max(1, -(-len(items) // (workers * 4)))
     _free_work_memory()  # the calling thread draws nothing while the pool runs
@@ -256,7 +233,7 @@ def run_test(
     """Observed scaled statistic, its null draws, and the calibrated decision."""
     check_alpha(alpha)
     prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
-    workers = config.workers or _usable_cpus()
+    workers = _pool_size(config.workers, config.replicates)
     blocks = parallel_map(partial(_null_draws, prep, config.seed), _blocks(prep, config.replicates, workers), workers)
     draws = np.array([draw for block in blocks for draw in block])
     statistic = prep.observed.scaled
@@ -269,8 +246,8 @@ def run_test(
         null_draws=draws,
         beta_hat=prep.model.beta_hat,
         n=prep.observed.n,
-        replicates=int(config.replicates),
-        seed=int(config.seed),
+        replicates=config.replicates,
+        seed=config.seed,
         kernel_x=prep.kernel_x,
         kernel_e=prep.kernel_e,
         standardized=bool(standardize),
@@ -317,11 +294,13 @@ def _curtailed_reject(
     return _add_one_pvalue(exceedances, B) <= alpha
 
 
-def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, row_sums: np.ndarray, seed: int, replicate: int) -> float:
-    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``replicate_stream(seed, replicate)``;
-    ``row_sums`` is ``_row_sums(gram_v, perm)``, the same for every permutation ``perm``."""
+def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, row_sums: tuple, seed: int, replicate: int) -> float:
+    """The statistic of ``gram_u`` against ``gram_v`` permuted by ``replicate_stream(seed, replicate)``.
+    ``row_sums`` is the identity's ``_row_sums`` of ``gram_v``: a permutation has the same
+    counts, so its row sums are those gathered by it, and its exact total is the same."""
     perm = replicate_stream(seed, replicate).permutation(gram_u.shape[0])
-    return _tiled_stat(gram_v, perm, row_sums, lambda rows, cols, out: gram_u[rows, cols]).value
+    sums, total = row_sums
+    return _tiled_stat(gram_v, perm, (sums[perm], total), lambda rows, cols, out: gram_u[rows, cols]).value
 
 
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
@@ -336,7 +315,9 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     _check_gram_fits(len(u), grams=2)
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
-    draw = partial(_perm_draw, gram_u, gram_v, _row_sums(gram_v, np.arange(len(u))), config.seed)
-    draws = parallel_map(draw, range(int(config.replicates)), config.workers)
-    # The observed statistic is the identity permutation's draw: hsic_vstat makes the same call.
-    return pvalue_from_draws(draws, hsic_vstat(gram_u, gram_v).value)
+    identity = np.arange(len(u))
+    row_sums = _row_sums(gram_v, identity)  # one product and one exact sum for every draw
+    draws = parallel_map(partial(_perm_draw, gram_u, gram_v, row_sums, config.seed), range(config.replicates),
+                         config.workers)
+    # The observed statistic is the identity permutation's draw, from the same row sums and total.
+    return pvalue_from_draws(draws, _tiled_stat(gram_v, identity, row_sums, lambda r, c, out: gram_u[r, c]).value)

@@ -22,7 +22,7 @@ class BootstrapAbortError(RuntimeError):
 
 
 class MemoryLimitError(MemoryError):
-    """An n x n Gram matrix would not fit in the memory this process may use.
+    """n x n Gram matrices would not fit in the memory this process, or a pool's, may use.
 
     Raised before the matrix is allocated; the message names n, the bytes
     needed, the limit and where the limit comes from.

@@ -115,33 +115,35 @@ def hsic_vstat(K, L) -> HsicValue:
     return _tiled_stat(L, idx, _row_sums(L, idx), lambda rows, cols, out: K[rows, cols])
 
 
-def _row_sums(K: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Kc, with c the counts of ``idx`` in 0..N-1 for the N x N Gram ``K``: the
-    argument :func:`_tiled_stat` reads for ``K[idx, idx]``.  Any permutation
-    of 0..n-1 has the same counts, all ones."""
-    return np.einsum("ij,j->i", K, np.bincount(idx, minlength=K.shape[0]).astype(float))
+def _row_sums(K: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Kc[idx], c'Kc), with c the counts of ``idx`` in 0..N-1 for the N x N Gram ``K``: the
+    argument :func:`_tiled_stat` reads for ``K[idx, idx]``.  c'Kc = sum_i Kc[idx_i] is summed
+    exactly: an error in it is multiplied by the sum of the other Gram, which no centering
+    cancels.  Any permutation of 0..n-1 has the counts of the identity, all ones."""
+    gathered = np.einsum("ij,j->i", K, np.bincount(idx, minlength=K.shape[0]).astype(float))[idx]
+    return gathered, math.fsum(gathered.tolist())
 
 
-def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: np.ndarray, tile: Callable) -> HsicValue:
+def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: tuple[np.ndarray, float], tile: Callable) -> HsicValue:
     """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L read from ``tile``, tile by tile.
 
     ``idx`` holds n row indices into the read-only, exactly symmetric Gram
-    ``K``, and ``row_sums`` is :func:`_row_sums` of ``K`` and ``idx``, which a
-    caller drawing many permutations computes once; ``tile(rows, cols, out)``
-    returns block [rows, cols] of the symmetric Gram L, built into the work
-    buffer ``out`` or read from memory the source holds.  Neither n x n
+    ``K``, and ``row_sums`` is :func:`_row_sums` of ``K`` and ``idx``, whose
+    product and exact sum a caller drawing many permutations computes once;
+    ``tile(rows, cols, out)`` returns block [rows, cols] of the symmetric Gram
+    L, built into the work buffer ``out`` or read from memory the source holds.  Neither n x n
     matrix is formed; the kernel works in T*n + 2*T^2 + 4*n floats that its
     thread keeps from one call to the next (:func:`_work_arrays`) until a
     call at another n asks for new shapes or a process pool starts
     (:func:`_free_work_memory`):
 
     * the gathered Gram is centered through index counts: with c the counts
-      of ``idx`` and Kc = K c (``row_sums``), its row means are
-      u = Kc[idx] / n and its grand mean is g = c'Kc / n^2 =
-      sum_i Kc[idx_i] / n^2, so a centered tile is K[idx_I, idx_J] -
-      (u_I + w_J) with w = u - g.  The offsets u_I + w_J are the product
-      ``[u_I, 1] @ [1; w_J]``, written into the L buffer before the L tile
-      overwrites it, so one contiguous subtraction centers the tile;
+      of ``idx`` and (Kc[idx], c'Kc) = ``row_sums``, its row means are
+      u = Kc[idx] / n and its grand mean is g = c'Kc / n^2, so a centered
+      tile is K[idx_I, idx_J] - (u_I + w_J) with w = u - g.  The offsets
+      u_I + w_J are the product ``[u_I, 1] @ [1; w_J]``, written into the L
+      buffer before the L tile overwrites it, so one contiguous subtraction
+      centers the tile;
     * both matrices are symmetric, so only tiles with J >= I are formed and
       each off-diagonal tile's sum counts twice.
 
@@ -152,11 +154,9 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: np.ndarray, tile: Call
     n = idx.shape[0]
     t = min(_TILE, n)
     rows, k_flat, l_flat, row_ops, col_ops = _work_arrays((t, n), (t * t,), (t * t,), (n, 2), (2, n))
-    row_sums = row_sums[idx]
-    # c'Kc = sum_i Kc[idx_i], summed exactly: an error in g is multiplied by
-    # the sum of all of L, which no centering cancels.
-    grand = math.fsum(row_sums.tolist()) / n**2
-    np.divide(row_sums, n, out=row_ops[:, 0])
+    gathered, total = row_sums
+    grand = total / n**2
+    np.divide(gathered, n, out=row_ops[:, 0])
     row_ops[:, 1] = 1.0
     col_ops[0] = 1.0
     np.subtract(row_ops[:, 0], grand, out=col_ops[1])

@@ -27,8 +27,8 @@ imported on the rule's first use: importing this module loads numpy alone.
 
 A Gram matrix is the one n x n array a test holds.  :func:`gram_matrix`
 builds it in strips of ``_TILE`` rows, so its build temporaries are one strip
-wide, and before it allocates the matrix it checks the bytes against the
-smallest memory limit the process can see (physical memory, the cgroup v2
+wide, and before it allocates the matrix it checks the bytes against every
+memory limit the process can see (physical memory, the cgroup v2
 ``memory.max``, ``RLIMIT_AS``), raising :class:`~hsicreg.errors.MemoryLimitError`
 instead of letting the operating system kill the run.
 """
@@ -164,9 +164,9 @@ def gram_matrix(points, spec: KernelSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _memory_limit() -> tuple[int, str] | None:
-    """The smallest memory limit this process can see, in bytes, with its source; None if
-    no source can be read.  Read once per process: every later call returns the cached pair.
+def _memory_limits() -> tuple[tuple[int, str], ...]:
+    """Every memory limit this process can see, in bytes, with its source, smallest first.
+    Read once per process: every later call returns the cached tuple.
 
     The sources are physical memory (``os.sysconf``), the cgroup v2 ``memory.max`` of the
     process's own cgroup, and a finite ``RLIMIT_AS``; a source that cannot be read is skipped.
@@ -194,26 +194,32 @@ def _memory_limit() -> tuple[int, str] | None:
             limits.append((soft, "RLIMIT_AS"))
     except (ImportError, ValueError, OSError):
         pass
-    return min(limits, default=None)
+    return tuple(sorted(limits))
 
 
-def _check_gram_fits(n: int, grams: int = 1) -> None:
-    """Raise :class:`MemoryLimitError` unless ``grams`` n x n Grams and one build strip,
-    8 * grams * n^2 + 8 * _TILE * n bytes, fit within :func:`_memory_limit`.
+def _check_gram_fits(n: int, grams: int = 1, processes: int = 1) -> None:
+    """Raise :class:`MemoryLimitError` unless ``processes`` processes, each holding ``grams``
+    n x n Grams and one build strip (8 * grams * n^2 + 8 * _TILE * n bytes), fit within
+    :func:`_memory_limits`: physical memory and the cgroup's ``memory.max`` bound them
+    together, ``RLIMIT_AS`` each alone.
 
-    The permutation baseline checks its two Grams before it builds either;
-    every other caller checks one.  Pool workers started by ``fork`` share
-    the caller's Gram.  Under ``spawn`` or ``forkserver`` a ``test`` worker
-    unpickles its own copy of the predictor Gram and checks nothing, so the
-    check undercounts by the worker count.
+    The permutation baseline checks its two Grams before it builds either.
+    ``power`` and ``contrast`` workers each build their own, so those entries
+    check one per worker at the largest n before their pool starts.  Pool
+    workers started by ``fork`` share the caller's Gram.  Under ``spawn`` or
+    ``forkserver`` a ``test`` worker unpickles its own copy of the predictor
+    Gram and checks nothing, so the check undercounts by the worker count.
     """
-    limit = _memory_limit()
-    needed = 8 * grams * n * n + 8 * _TILE * n
-    if limit is not None and needed > limit[0]:
-        raise MemoryLimitError(
-            f"{grams} n x n Gram matrix(es) at n = {n} need {needed} bytes ({needed / 2**20:.1f} MiB), "
-            f"more than the {limit[0]} bytes ({limit[0] / 2**20:.1f} MiB) allowed by {limit[1]}"
-        )
+    each = 8 * grams * n * n + 8 * _TILE * n
+    for limit, source in _memory_limits():
+        held = 1 if source == "RLIMIT_AS" else processes
+        needed = held * each
+        if needed > limit:
+            where = f" in {held} processes" if held > 1 else ""
+            raise MemoryLimitError(
+                f"{held * grams} n x n Gram matrix(es) at n = {n}{where} need {needed} bytes "
+                f"({needed / 2**20:.1f} MiB), more than the {limit} bytes ({limit / 2**20:.1f} MiB) allowed by {source}"
+            )
 
 
 def _difference_operands(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,11 +44,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import derive_seed, substream
-from .bootstrap import BootstrapConfig, _curtailed_reject, check_alpha, check_integer, parallel_map
+from ._rng import check_integer, derive_seed, substream
+from .bootstrap import BootstrapConfig, _curtailed_reject, _pool_size, check_alpha, parallel_map
 from .errors import BootstrapAbortError, DegenerateDataError, SingularDesignError
 from .hsic import _residual_stat, prepare_stat
-from .kernels import KernelSpec, study_kernels
+from .kernels import KernelSpec, _check_gram_fits, study_kernels
 from .linreg import Dataset, DesignSpec
 
 MODEL1 = "model1"
@@ -85,9 +85,7 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.noise_sd is None:
             object.__setattr__(self, "noise_sd", _MODELS[self.model][1])
-        check_integer("n", self.n)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", check_integer("n", self.n, 1))
         for knob in ("a", "lam", "noise_sd"):
             value = getattr(self, knob)
             if not math.isfinite(value):
@@ -118,7 +116,7 @@ def _noise(spec: ModelSpec, x1: np.ndarray, rng: np.random.Generator) -> np.ndar
 
 def _model1(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """Uniform predictors; mean 2 + 5*x1 - x2 + a*x1*x2."""
-    X = rng.random((int(spec.n), spec.dim))
+    X = rng.random((spec.n, spec.dim))
     errors = _noise(spec, X[:, 0], rng)
     mean = 2.0 + 5.0 * X[:, 0] - X[:, 1] + spec.a * X[:, 0] * X[:, 1]
     return SimulatedData(Dataset(X, mean + errors), errors)
@@ -132,9 +130,8 @@ _EQUICORR_CHOL = np.linalg.cholesky(
 
 def _model2(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """Correlated normal + Bernoulli predictors; mean x1 + a*x2^2 + 2*x4."""
-    n = int(spec.n)
-    X123 = rng.standard_normal((n, 3)) @ _EQUICORR_CHOL.T
-    x4 = (rng.random(n) < 0.4).astype(float)
+    X123 = rng.standard_normal((spec.n, 3)) @ _EQUICORR_CHOL.T
+    x4 = (rng.random(spec.n) < 0.4).astype(float)
     X = np.column_stack([X123, x4])
     errors = _noise(spec, X[:, 0], rng)
     mean = X[:, 0] + spec.a * X[:, 1] ** 2 + 2.0 * x4
@@ -143,7 +140,7 @@ def _model2(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
 
 def _linear1d(spec: ModelSpec, rng: np.random.Generator) -> SimulatedData:
     """Single standard-normal predictor; mean 1 + x1."""
-    X = rng.standard_normal((int(spec.n), 1))
+    X = rng.standard_normal((spec.n, 1))
     errors = _noise(spec, X[:, 0], rng)
     mean = 1.0 + X[:, 0]
     return SimulatedData(Dataset(X, mean + errors), errors)
@@ -236,11 +233,11 @@ def power_study(
     grid = list(grid)
     if not grid:
         raise ValueError("empty simulation grid")
-    check_integer("reps", reps)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = check_integer("reps", reps, 1)
     check_alpha(alpha)
     tasks = [(c, t) for c in range(len(grid)) for t in range(reps)]
+    # Every worker builds its own Gram, so the pool's are counted before it starts.
+    _check_gram_fits(max(spec.n for spec in grid), processes=_pool_size(config.workers, len(tasks)))
     runner = partial(_power_trial, grid=grid, alpha=alpha, config=config)
     # Tasks are cell-major and parallel_map keeps their order, so cell c's trials are one slice.
     outcomes = parallel_map(runner, tasks, config.workers)
@@ -255,7 +252,7 @@ def power_study(
         cells.append(
             PowerCell(
                 model=spec.model,
-                n=int(spec.n),
+                n=spec.n,
                 a=float(spec.a),
                 lam=float(spec.lam),
                 reps=reps,
@@ -265,7 +262,7 @@ def power_study(
                 se=se,
             )
         )
-    return PowerTable(tuple(cells), float(alpha), int(config.replicates), int(config.seed))
+    return PowerTable(tuple(cells), float(alpha), config.replicates, config.seed)
 
 
 #: Below this many replications per arm the contrast's KS comparison is flagged.
@@ -323,12 +320,10 @@ def null_distribution_contrast(
     Replications run on ``workers`` processes (0 = one per usable CPU) without
     changing the result.
     """
-    for name, value in (("reps", reps), ("seed", seed), ("workers", workers)):
-        check_integer(name, value)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps, seed = check_integer("reps", reps, 1), check_integer("seed", seed)
     if spec.n < 3:
         raise ValueError(f"n must be >= 3, got {spec.n}")
+    _check_gram_fits(spec.n, processes=_pool_size(workers, reps))  # one Gram per worker
     # Imported here, not at the top: scipy.stats is slow to import, and only the contrast needs it.
     from scipy.stats import ks_2samp
 
@@ -348,8 +343,8 @@ def null_distribution_contrast(
         error_stats=error_stats,
         ks_distance=float(ks.statistic),
         ks_pvalue=float(ks.pvalue),
-        n=int(spec.n),
-        reps=int(reps),
+        n=spec.n,
+        reps=reps,
         undersampled=undersampled,
     )
 

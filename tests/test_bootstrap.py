@@ -19,6 +19,7 @@ from hsicreg import (
     Dataset,
     DesignSpec,
     KernelSpec,
+    MemoryLimitError,
     ModelSpec,
     draw_model,
     null_distribution_contrast,
@@ -39,7 +40,7 @@ from hsicreg.bootstrap import (
     _replicate_stat,
     parallel_map,
 )
-from hsicreg._rng import replicate_stream, substream
+from hsicreg._rng import check_integer, derive_seed, replicate_stream, substream
 from hsicreg.hsic import _residual_stat, _row_sums, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
@@ -205,6 +206,26 @@ class TestReplicateStream:
         for key in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
             with pytest.raises(ValueError, match="nonnegative"):
                 replicate_stream(*key)
+
+    @pytest.mark.parametrize("args, name, value", [((1.9, 0, 10), "seed", 1.9), ((0, True, 10), "replicate", True),
+                                                   ((0, 0, 10, 0.5), "redraw", 0.5), ((0, "1", 10), "replicate", "1")])
+    def test_non_integer_keys_are_named(self, args, name, value):
+        """A float or bool seed, replicate or redraw is refused, never truncated to another stream."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            replicate_indices(*args)
+
+    @pytest.mark.parametrize("call", [lambda: substream(2.5), lambda: substream(0, 1.5), lambda: derive_seed(0, 1.5),
+                                      lambda: derive_seed(True), lambda: replicate_stream(0, 1, 2.0)])
+    def test_substreams_refuse_non_integer_keys(self, call):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            call()
+
+    def test_numpy_integers_draw_the_python_integers_streams(self):
+        np.testing.assert_array_equal(replicate_indices(np.int64(3), np.uint32(2), 10, np.int8(1)),
+                                      replicate_indices(3, 2, 10, 1))
+        assert substream(np.uint64(5), np.int16(2)).random() == substream(5, 2).random()
+        assert derive_seed(np.int32(5), np.uint8(2)) == derive_seed(5, 2)
+        assert check_integer("n", np.int64(5), 1) == 5 and type(check_integer("n", np.int64(5), 1)) is int
 
     def test_keys_outside_the_counter_are_rejected(self):
         """The counter holds one replicate word and one redraw word, each below 2**64."""
@@ -453,14 +474,12 @@ def test_parallel_map_ships_fn_once_per_worker():
     assert len(_REDUCED) <= 2
 
 
-def test_workers_zero_is_one_per_usable_cpu(monkeypatch):
-    """workers=0 counts the CPUs in the affinity set, not the host's, and
-    falls back to ``os.cpu_count()`` where there is no affinity call."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool parallel_map starts; the pools map in this process."""
     requested = []
 
     class RecordingPool:
-        """Records the pool size it is asked for and maps in this process."""
-
         def __init__(self, max_workers, initializer, initargs):
             requested.append(max_workers)
             self.fn = initargs[0]
@@ -475,6 +494,13 @@ def test_workers_zero_is_one_per_usable_cpu(monkeypatch):
             return map(self.fn, items)
 
     monkeypatch.setattr(hsicreg.bootstrap, "ProcessPoolExecutor", RecordingPool)
+    return requested
+
+
+def test_workers_zero_is_one_per_usable_cpu(monkeypatch, pool_sizes):
+    """workers=0 counts the CPUs in the affinity set, not the host's, and
+    falls back to ``os.cpu_count()`` where there is no affinity call."""
+    requested = pool_sizes
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert parallel_map(abs, [-1, 2, -3], 0) == [1, 2, 3]
@@ -483,8 +509,61 @@ def test_workers_zero_is_one_per_usable_cpu(monkeypatch):
     assert parallel_map(abs, [-1, 2], 0) == [1, 2]
     assert requested == [3]
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert parallel_map(abs, [-4], 0) == [4]
+    assert parallel_map(abs, [-4] * 8, 0) == [4] * 8
     assert requested == [3, 8]
+
+
+def test_a_pool_starts_no_worker_it_has_no_item_for(pool_sizes):
+    """A fork pool starts all its workers at its first task, so the count is capped at the items."""
+    assert parallel_map(abs, [1, -2], 8) == [1, 2]
+    assert pool_sizes == [2]
+    assert parallel_map(abs, [-3], 8) == [3]
+    assert parallel_map(abs, [], 8) == []
+    assert parallel_map(abs, [-1, 2, -3], np.int64(2)) == [1, 2, 3]
+    assert pool_sizes == [2, 2]
+
+
+@pytest.mark.parametrize("workers, message", [(1.5, "must be an integer, got 1.5"),
+                                              (True, "must be an integer, got True"),
+                                              ("2", "must be an integer, got '2'"),
+                                              (-1, "must be nonnegative, got -1")])
+def test_parallel_map_refuses_a_worker_count_that_is_not_a_count(workers, message):
+    with pytest.raises(ValueError, match=f"^workers {re.escape(message)}$"):
+        parallel_map(abs, [1, 2], workers)
+
+
+#: 1.5 Grams at n = 200: one Gram and its build strip fit, two do not.
+_ONE_AND_A_HALF_GRAMS = 12 * 200 * 200 + 8 * 128 * 200
+_POOLED_ENTRIES = {
+    "power_study": lambda workers: power_study([ModelSpec("model1", n=200)], 0.05,
+                                               BootstrapConfig(19, workers=workers), 2),
+    "contrast": lambda workers: null_distribution_contrast(ModelSpec("linear1d", n=200), *study_kernels(1), 25,
+                                                           workers=workers),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POOLED_ENTRIES))
+def test_a_pool_counts_one_gram_per_worker_against_the_machine(entry, monkeypatch):
+    """Every power or contrast worker builds its own Gram, so a machine-wide limit that holds
+    one but not two refuses two workers before the pool starts, and lets one run."""
+    monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((_ONE_AND_A_HALF_GRAMS, "physical memory"),))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(hsicreg.bootstrap, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(MemoryLimitError, match="2 n x n Gram matrix[(]es[)] at n = 200 in 2 processes"):
+            _POOLED_ENTRIES[entry](2)
+    _POOLED_ENTRIES[entry](1)
+
+
+@pytest.mark.parametrize("entry", sorted(_POOLED_ENTRIES))
+def test_rlimit_as_counts_one_gram_per_worker(entry, monkeypatch, pool_sizes):
+    """RLIMIT_AS bounds each process alone, so the same limit read as RLIMIT_AS lets two workers run."""
+    monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((_ONE_AND_A_HALF_GRAMS, "RLIMIT_AS"),))
+    _POOLED_ENTRIES[entry](2)
+    assert pool_sizes == [2]
 
 
 def test_null_draws_change_with_seed():
@@ -937,8 +1016,8 @@ class TestPermutationBaseline:
 
     @pytest.mark.parametrize("replicates", [3, 9])
     def test_draws_share_one_row_sum_product(self, monkeypatch, replicates):
-        """Every permutation's index counts are all ones, so the B draws of one call share
-        one product K c; ``hsic_vstat`` makes the other, for the observed statistic."""
+        """Every permutation's index counts are all ones, so the B draws of one call, and
+        the observed statistic, the identity's draw, share one product K c."""
         products = []
         einsum = np.einsum
 
@@ -950,7 +1029,24 @@ class TestPermutationBaseline:
         rng = np.random.default_rng(92)
         u, v = rng.normal(size=(30, 2)), rng.normal(size=30)
         permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=replicates, seed=3))
-        assert sum(products) == 2
+        assert sum(products) == 1
+
+    @pytest.mark.parametrize("replicates", [3, 9])
+    def test_draws_share_one_fsum(self, monkeypatch, replicates):
+        """A permutation gathers the same multiset of row sums, so one call's B draws and its
+        observed statistic share one exact sum of them."""
+        sums = []
+        fsum = math.fsum
+
+        def counting(values):
+            sums.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting)
+        rng = np.random.default_rng(92)
+        u, v = rng.normal(size=(30, 2)), rng.normal(size=30)
+        permutation_pvalue(u, v, KernelSpec(), KernelSpec(), BootstrapConfig(replicates=replicates, seed=3))
+        assert sums == [30]
 
     def test_worker_invariant(self):
         rng = np.random.default_rng(83)
@@ -986,6 +1082,13 @@ class TestContrast:
         kwargs = {"reps": 30, "seed": 6, "workers": 1, knob: value}
         with pytest.raises(ValueError, match=f"^{knob} must be an integer, got {value!r}$"):
             null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), **kwargs)
+
+    def test_numpy_integer_knobs_are_accepted(self):
+        res = null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), np.int64(30), seed=np.uint8(6),
+                                         workers=np.int16(1))
+        want = null_distribution_contrast(self.SPEC, KernelSpec(), KernelSpec(), 30, seed=6)
+        np.testing.assert_array_equal(res.residual_stats, want.residual_stats)
+        assert type(res.reps) is int
 
     def test_undersampled_warning(self):
         with pytest.warns(UserWarning, match="replications per arm"):

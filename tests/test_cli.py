@@ -409,7 +409,7 @@ class TestExitCodes:
         assert "error: alpha must lie strictly between 0 and 1, got 1.5" in err
 
     def test_gram_over_the_memory_limit_is_code_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (1_000_000, "a patched limit"))
+        monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((1_000_000, "a patched limit"),))
         rows = np.random.default_rng(9).normal(size=(400, 3)).tolist()
         path = write_csv(tmp_path / "large.csv", ["x1", "x2", "y"], rows)
         code, _, err = run_main(capsys, ["test", "--input", path, "--response", "y", "--B", "9"])
@@ -420,7 +420,7 @@ class TestExitCodes:
         def no_pdist(*args, **kwargs):
             raise AssertionError("pdist ran before the memory check")
 
-        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (1_000_000, "a patched limit"))
+        monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((1_000_000, "a patched limit"),))
         monkeypatch.setattr("scipy.spatial.distance.pdist", no_pdist)
         rows = np.random.default_rng(9).normal(size=(400, 3)).tolist()
         path = write_csv(tmp_path / "large.csv", ["x1", "x2", "y"], rows)

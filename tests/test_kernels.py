@@ -26,7 +26,7 @@ from hsicreg import (
     resolve_bandwidth,
 )
 from hsicreg.hsic import prepare_stat
-from hsicreg.kernels import _TILE, MEDIAN, _difference_operands, _gram_tile, _memory_limit, as_points
+from hsicreg.kernels import _TILE, MEDIAN, _difference_operands, _gram_tile, _memory_limits, as_points
 
 
 def gaussian_kernel(u, v, bandwidth: float) -> float:
@@ -284,7 +284,7 @@ class TestMemoryGuard:
 
     @pytest.fixture
     def one_megabyte(self, monkeypatch):
-        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (1_000_000, "a patched limit"))
+        monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((1_000_000, "a patched limit"),))
 
     def test_raises_before_the_gram_is_allocated(self, one_megabyte):
         n = 400
@@ -319,7 +319,7 @@ class TestMemoryGuard:
     def test_permutation_baseline_checks_both_grams_before_building_either(self, monkeypatch):
         n = 400
         limit = 12 * n * n + 8 * _TILE * n  # one and a half Grams: one fits, two do not
-        monkeypatch.setattr("hsicreg.kernels._memory_limit", lambda: (limit, "a patched limit"))
+        monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((limit, "a patched limit"),))
         rng = np.random.default_rng(29)
         u, v = rng.normal(size=(n, 2)), rng.normal(size=n)
         tracemalloc.start()
@@ -345,19 +345,18 @@ class TestMemoryGuard:
         def unreadable(name):
             raise ValueError(name)
 
-        _memory_limit.cache_clear()
+        _memory_limits.cache_clear()
         try:
             # No cgroup or address-space limit is below 4 MB in a running interpreter.
             monkeypatch.setattr(os, "sysconf", sysconf)
-            assert _memory_limit() == (4_096_000, "physical memory")
-            assert _memory_limit() == (4_096_000, "physical memory")
+            assert _memory_limits()[0] == (4_096_000, "physical memory")
+            assert _memory_limits()[0] == (4_096_000, "physical memory")
             assert len(calls) == 2
-            _memory_limit.cache_clear()
+            _memory_limits.cache_clear()
             monkeypatch.setattr(os, "sysconf", unreadable)
-            limit = _memory_limit()
-            assert limit is None or limit[1] != "physical memory"
+            assert all(source != "physical memory" for _, source in _memory_limits())
         finally:
-            _memory_limit.cache_clear()
+            _memory_limits.cache_clear()
 
 
 def test_as_points_validation():

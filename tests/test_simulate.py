@@ -281,6 +281,12 @@ class TestPowerStudy:
         with pytest.raises(ValueError, match=f"^reps must be an integer, got {reps!r}$"):
             power_study(STUDY_GRID, alpha=0.05, config=cfg, reps=reps)
 
+    def test_numpy_integer_reps_is_accepted(self):
+        cfg = BootstrapConfig(replicates=10, seed=0)
+        table = power_study(STUDY_GRID, alpha=0.05, config=cfg, reps=np.int64(3))
+        assert table == power_study(STUDY_GRID, alpha=0.05, config=cfg, reps=3)
+        assert all(type(cell.reps) is int and type(cell.n) is int for cell in table.cells)
+
 
 class TestMonotonicityReport:
     @staticmethod
