@@ -13,34 +13,33 @@ the predictors — but a permutation p-value for raw i.i.d. pairs is provided
 as a baseline for the no-regression setting.  The contrast that shows why is
 :func:`hsicreg.simulate.null_distribution_contrast`, beside the power harness.
 
-Replicates are drawn in blocks of consecutive indices (:func:`_null_block`):
-each member draws its own indices, one stacked QR refits them all with the
-solver of :func:`~hsicreg.linreg.fit_ols`, and each member's statistic (or its
-one redraw, if its refit was singular) waits until its draw is consumed.  No
-draw depends on its block, so the draws are the same at every block size and
-worker count, and a curtailed trial can stop mid-block.
+Replicates are drawn in blocks of consecutive indices (:func:`_null_block`),
+and all a member's statistic reads but its tiles is set up for the whole block
+in stacked calls (:func:`_member_stats`): the index draws, one QR refit with
+the solver of :func:`~hsicreg.linreg.fit_ols`, and the operands of
+:func:`hsicreg.hsic._residual_stats`.  A member's tile loop, or its one redraw
+if its refit was singular, runs only when its draw is consumed, so a curtailed
+trial can stop mid-block.  No array a member reads depends on its block, so
+the draws are the same at every block size and worker count.
 
-Kernels and bandwidths are frozen from the original fit; replicates are never
-re-standardized and never re-resolve a median bandwidth.  A replicate reads the
-:class:`~hsicreg.hsic.PreparedStat` of the original fit and gathers nothing
-n x n: it passes its predictor-row indices, refit residuals and the resolved
-residual bandwidth to :func:`hsicreg.hsic._residual_stat`, the one statistic
-entry, which also computed the observed statistic; its tiled kernel reads the
-frozen predictor Gram and works in T*n + 2*T^2 + 4*n floats that its thread reuses
-from one replicate, and one call, to the next; :func:`parallel_map` frees the
-calling thread's set before it starts a pool.  Every draw, a
-replicate's or a permutation's, resets its thread's one Philox generator
+Kernels and bandwidths are frozen from the original fit: replicates are never
+re-standardized, never re-resolve a median bandwidth and gather nothing n x n.
+The tile loop reads the frozen predictor Gram and works in T*n + 2*T^2 floats
+that its thread reuses from one call to the next (:func:`parallel_map` frees
+the calling thread's set before it starts a pool); a block of k adds k x n row
+sums and four k x n x 2 operand stacks.  Every draw, a replicate's or a
+permutation's, resets its thread's one Philox generator
 (:func:`hsicreg._rng.replicate_stream`) instead of building one: the key is the
 seed's, and the counter tells the streams apart (Salmon, Moraes, Dror & Shaw,
 SC 2011), ``(0, replicate, redraw, 2)`` for a replicate and
 ``(0, replicate, 0, 1)`` for a permutation.
 
-A permutation draw goes through the same kernel (:func:`_perm_draw`): it
+A permutation draw goes through the same tile loop (:func:`_perm_draw`): it
 gathers the second Gram by the permutation and reads the first in tiles, so
 the baseline holds its two n x n Grams and nothing else that size.  Every
-permutation has the same index counts, so one call computes the kernel's row
-sums and their exact total once, for all its draws and for the observed
-statistic, the identity permutation's draw.
+permutation has the same index counts, so one call builds the centering
+operands once, and each draw, the observed statistic's identity among them,
+gathers them by its permutation.
 """
 from __future__ import annotations
 
@@ -52,9 +51,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._rng import check_integer, replicate_stream
+from ._rng import check_integer, replicate_draws, replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _free_work_memory, _residual_stat, _row_sums, _tiled_stat, prepare_stat
+from .hsic import PreparedStat, _centering, _free_work_memory, _residual_stats, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, _check_gram_fits, as_points, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
@@ -112,45 +111,51 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     then — independently, never paired — the residual indices.  The pairs
     come back stably sorted by predictor index, so a replicate gathers the
     predictor Gram in memory order; their multiset, and so the statistic
-    and its resampling law, is unchanged.
+    and its resampling law, is unchanged.  A block draws them in :func:`_block_indices`.
     """
+    (idx_x,), (idx_e,) = _block_indices(seed, range(check_integer("replicate", replicate), replicate + 1), n, redraw)
+    return idx_x, idx_e
+
+
+def _block_indices(seed: int, replicates: range, n: int, redraw: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n) stacks of :func:`replicate_indices` for the k ``replicates``: one stream
+    re-key and one draw of 2n per member, then one stacked sort and two gathers."""
     # One call of 2n draws is two calls of n: numpy buffers bounded draws in the generator's state.
-    idx_x, idx_e = replicate_stream(seed, replicate, redraw).integers(0, n, size=2 * n).reshape(2, n)
+    draw = lambda stream: stream.integers(0, n, size=2 * n)
+    pairs = np.array(replicate_draws(draw, seed, replicates.start, len(replicates), redraw))
     # A stable sort's order is unique, so the narrowest key that holds n - 1 gives the same
     # bits as int64, and numpy radix-sorts 8- and 16-bit keys.
-    order = np.argsort(idx_x.astype(np.min_scalar_type(n - 1)), kind="stable")
-    return idx_x[order], idx_e[order]
+    order = np.argsort(pairs[:, :n].astype(np.min_scalar_type(n - 1)), axis=1, kind="stable")
+    order += np.arange(0, pairs.size, 2 * n)[:, None]  # each row's offset in the flat draws
+    return pairs.take(order), pairs.take(order + n)
 
 
-def _replicate_stat(
-    prep: PreparedStat, seed: int, replicate: int, idx_x: np.ndarray, resid: np.ndarray | None
-) -> float:
-    """n times the statistic of null replicate ``replicate``, given its predictor-row
-    indices and refit residuals, or ``None`` for a singular refit: the replicate then
-    redraws once (``redraw=1``), and a second singular refit raises :class:`BootstrapAbortError`."""
-    n = prep.observed.n
-    if resid is None:
-        idx_x, idx_e = replicate_indices(seed, replicate, n, 1)
-        (resid,), (flag,) = _refit_residuals(prep.design[idx_x][None], prep.model.centered_residuals[idx_e][None])
+def _member_stats(prep: PreparedStat, seed: int, replicates: range, redraw: int = 0) -> tuple[list, np.ndarray]:
+    """Each replicate's statistic as a call that runs only its tile loop, from stacked index
+    draws, refit and operands, and the mask of the singular refits, whose calls are not to be made."""
+    idx_x, idx_e = _block_indices(seed, replicates, prep.observed.n, redraw)
+    resid, singular = _refit_residuals(prep.design, prep.model.centered_residuals, idx_x, idx_e)
+    return _residual_stats(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth), singular
+
+
+def _replicate_stat(prep: PreparedStat, seed: int, replicate: int, stat: Callable | None) -> float:
+    """n times the statistic of null replicate ``replicate``, from its call in
+    :func:`_member_stats`, or ``None`` for a singular refit: the replicate then redraws once
+    (``redraw=1``), and a second singular refit raises :class:`BootstrapAbortError`."""
+    if stat is None:
+        (stat,), (flag,) = _member_stats(prep, seed, range(replicate, replicate + 1), 1)
         if flag:
             raise BootstrapAbortError(f"replicate {replicate}: singular refit on the draw and its one redraw; aborting")
-    return _residual_stat(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth).scaled
+    return stat().scaled
 
 
 def _null_block(prep: PreparedStat, seed: int, replicates: range) -> Iterator[float]:
-    """The null draws of ``replicates``, one at a time, from the frozen fit in ``prep``.
-
-    One stacked solve refits every member before the first draw is yielded;
-    each member's :func:`_replicate_stat` runs only when its draw is
-    consumed, so a caller that stops mid-block skips the rest.
-    """
-    n = prep.observed.n
-    idx = np.empty((len(replicates), 2, n), dtype=np.int64)
-    for pair, replicate in zip(idx, replicates):
-        pair[0], pair[1] = replicate_indices(seed, replicate, n)
-    resid, singular = _refit_residuals(prep.design[idx[:, 0]], prep.model.centered_residuals[idx[:, 1]])
-    for replicate, idx_x, member, flag in zip(replicates, idx[:, 0], resid, singular.tolist()):
-        yield _replicate_stat(prep, seed, replicate, idx_x, None if flag else member)
+    """The null draws of ``replicates``, one at a time, from the frozen fit in ``prep``: every
+    member is set up by :func:`_member_stats` first, and its :func:`_replicate_stat`, its tile
+    loop, runs only when its draw is consumed, so a caller that stops mid-block skips the rest."""
+    stats, singular = _member_stats(prep, seed, replicates)
+    for replicate, stat, flag in zip(replicates, stats, singular.tolist()):
+        yield _replicate_stat(prep, seed, replicate, None if flag else stat)
 
 
 def _null_draws(prep: PreparedStat, seed: int, replicates: range) -> list[float]:
@@ -294,13 +299,13 @@ def _curtailed_reject(
     return _add_one_pvalue(exceedances, B) <= alpha
 
 
-def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, row_sums: tuple, seed: int, replicate: int) -> float:
+def _perm_draw(gram_u: np.ndarray, gram_v: np.ndarray, centering: tuple, seed: int, replicate: int) -> float:
     """The statistic of ``gram_u`` against ``gram_v`` permuted by ``replicate_stream(seed, replicate)``.
-    ``row_sums`` is the identity's ``_row_sums`` of ``gram_v``: a permutation has the same
-    counts, so its row sums are those gathered by it, and its exact total is the same."""
+    ``centering`` is the identity's ``_centering`` of ``gram_v``: a permutation has the same
+    counts, so its operands are those gathered by it."""
     perm = replicate_stream(seed, replicate).permutation(gram_u.shape[0])
-    sums, total = row_sums
-    return _tiled_stat(gram_v, perm, (sums[perm], total), lambda rows, cols, out: gram_u[rows, cols]).value
+    row_ops, col_ops = centering
+    return _tiled_stat(gram_v, perm, (row_ops[perm], col_ops[:, perm]), lambda r, c, out: gram_u[r, c]).value
 
 
 def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config: BootstrapConfig) -> float:
@@ -316,8 +321,8 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
     identity = np.arange(len(u))
-    row_sums = _row_sums(gram_v, identity)  # one product and one exact sum for every draw
-    draws = parallel_map(partial(_perm_draw, gram_u, gram_v, row_sums, config.seed), range(config.replicates),
+    centering = _centering(gram_v, identity)  # one product and one exact sum for every draw
+    draws = parallel_map(partial(_perm_draw, gram_u, gram_v, centering, config.seed), range(config.replicates),
                          config.workers)
-    # The observed statistic is the identity permutation's draw, from the same row sums and total.
-    return pvalue_from_draws(draws, _tiled_stat(gram_v, identity, row_sums, lambda r, c, out: gram_u[r, c]).value)
+    # The observed statistic is the identity permutation's draw, from the same operands.
+    return pvalue_from_draws(draws, _tiled_stat(gram_v, identity, centering, lambda r, c, out: gram_u[r, c]).value)

@@ -3,11 +3,12 @@
 One kernel, :func:`_tiled_stat`, computes every statistic the package reports:
 n^-2 tr(HAH HBH) for a gathered, read-only Gram A and a second Gram B read in
 upper T x T tiles from a tile source.  There are two sources: Gaussian tiles of
-1-D points (:func:`_residual_stat`, the one path from a residual vector to the
+1-D points (:func:`_residual_stats`, the one path from residual vectors to the
 statistic: the observed statistic of :func:`prepare_stat`, every bootstrap
 replicate and the contrast's error arm) and slices of a precomputed Gram
 (:func:`hsic_vstat`, and each draw of the permutation baseline, which gathers
-the second Gram by its permutation).
+the second Gram by its permutation).  A stack of residual vectors has all
+its operands built in stacked calls, so each member runs only its tile loop.
 The explicit three-sum form :func:`hsic_sums` is kept as the oracle: the two
 are tested against each other and against literal nested-loop sums, and
 neither may be defined through the other.  Every sum is plain float64, and
@@ -112,38 +113,42 @@ def hsic_vstat(K, L) -> HsicValue:
     """
     K, L, n = _check_gram_pair(K, L)
     idx = np.arange(n)
-    return _tiled_stat(L, idx, _row_sums(L, idx), lambda rows, cols, out: K[rows, cols])
+    return _tiled_stat(L, idx, _centering(L, idx), lambda rows, cols, out: K[rows, cols])
 
 
-def _row_sums(K: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Kc[idx], c'Kc), with c the counts of ``idx`` in 0..N-1 for the N x N Gram ``K``: the
-    argument :func:`_tiled_stat` reads for ``K[idx, idx]``.  c'Kc = sum_i Kc[idx_i] is summed
+def _centering(K: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The operands that center ``K[idx, idx]`` for N x N ``K`` and the counts c of ``idx`` in
+    0..N-1: with row means u = Kc[idx] / n and grand mean g = c'Kc / n^2, the (n, 2) [u, 1] and
+    (2, n) [1; w], w = u - g, whose product at rows I and columns J is u_I + w_J.  c'Kc is summed
     exactly: an error in it is multiplied by the sum of the other Gram, which no centering
-    cancels.  Any permutation of 0..n-1 has the counts of the identity, all ones."""
-    gathered = np.einsum("ij,j->i", K, np.bincount(idx, minlength=K.shape[0]).astype(float))[idx]
-    return gathered, math.fsum(gathered.tolist())
+    cancels.  A (k, n) stack of index rows gives (k, n, 2) and (k, 2, n) stacks; a permutation
+    of 0..n-1 has the identity's counts, so its operands are the identity's gathered by it."""
+    rows = np.atleast_2d(idx)
+    (k, n), N = rows.shape, K.shape[0]
+    flat = rows + N * np.arange(k)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=k * N).reshape(k, N).astype(float)
+    sums = np.take([np.einsum("ij,j->i", K, member) for member in counts], flat)
+    row_ops, col_ops = np.ones((k, n, 2)), np.ones((k, 2, n))
+    row_ops[..., 0] = sums / n
+    col_ops[:, 1] = row_ops[..., 0] - np.array([math.fsum(member) for member in sums.tolist()])[:, None] / n**2
+    return (row_ops, col_ops) if idx.ndim > 1 else (row_ops[0], col_ops[0])
 
 
-def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: tuple[np.ndarray, float], tile: Callable) -> HsicValue:
+def _tiled_stat(K: np.ndarray, idx: np.ndarray, centering: tuple, tile: Callable) -> HsicValue:
     """n^-2 sum_ij (H K[idx, idx] H)_ij L_ij with L read from ``tile``, tile by tile.
 
     ``idx`` holds n row indices into the read-only, exactly symmetric Gram
-    ``K``, and ``row_sums`` is :func:`_row_sums` of ``K`` and ``idx``, whose
-    product and exact sum a caller drawing many permutations computes once;
-    ``tile(rows, cols, out)`` returns block [rows, cols] of the symmetric Gram
-    L, built into the work buffer ``out`` or read from memory the source holds.  Neither n x n
-    matrix is formed; the kernel works in T*n + 2*T^2 + 4*n floats that its
-    thread keeps from one call to the next (:func:`_work_arrays`) until a
-    call at another n asks for new shapes or a process pool starts
-    (:func:`_free_work_memory`):
+    ``K``, and ``centering`` is :func:`_centering` of ``K`` and ``idx``, which
+    a caller with many draws builds in one go; ``tile(rows, cols, out)``
+    returns block [rows, cols] of the symmetric Gram L, built into the work
+    buffer ``out`` or read from memory the source holds.  Neither n x n matrix
+    is formed; the loop works in T*n + 2*T^2 floats that its thread keeps from
+    one call to the next (:func:`_work_arrays`) until a call at another n asks
+    for new shapes or a process pool starts (:func:`_free_work_memory`):
 
-    * the gathered Gram is centered through index counts: with c the counts
-      of ``idx`` and (Kc[idx], c'Kc) = ``row_sums``, its row means are
-      u = Kc[idx] / n and its grand mean is g = c'Kc / n^2, so a centered
-      tile is K[idx_I, idx_J] - (u_I + w_J) with w = u - g.  The offsets
-      u_I + w_J are the product ``[u_I, 1] @ [1; w_J]``, written into the L
-      buffer before the L tile overwrites it, so one contiguous subtraction
-      centers the tile;
+    * a centered tile is K[idx_I, idx_J] minus the product of the
+      ``centering`` operands, written into the L buffer before the L tile
+      overwrites it, so one contiguous subtraction centers the tile;
     * both matrices are symmetric, so only tiles with J >= I are formed and
       each off-diagonal tile's sum counts twice.
 
@@ -153,13 +158,8 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: tuple[np.ndarray, floa
     """
     n = idx.shape[0]
     t = min(_TILE, n)
-    rows, k_flat, l_flat, row_ops, col_ops = _work_arrays((t, n), (t * t,), (t * t,), (n, 2), (2, n))
-    gathered, total = row_sums
-    grand = total / n**2
-    np.divide(gathered, n, out=row_ops[:, 0])
-    row_ops[:, 1] = 1.0
-    col_ops[0] = 1.0
-    np.subtract(row_ops[:, 0], grand, out=col_ops[1])
+    rows, k_flat, l_flat = _work_arrays((t, n), (t * t,), (t * t,))
+    row_ops, col_ops = centering
     total = 0.0
     for top in range(0, n, _TILE):
         bottom = min(top + _TILE, n)
@@ -181,15 +181,20 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, row_sums: tuple[np.ndarray, floa
     return HsicValue(float(total / n**2), n)
 
 
+def _residual_stats(gram_x: np.ndarray, idx: np.ndarray, residuals: np.ndarray, bandwidth: float) -> list:
+    """Per member m of the (k, n) stacks, a call that runs only the tile loop of the statistic
+    between the rows ``idx[m]`` of ``gram_x`` and the 1-D ``residuals[m]`` under a Gaussian kernel
+    of resolved ``bandwidth``, whose operands are all built here.  A residual Gram tile is bit-equal
+    to its block of :func:`~hsicreg.kernels.gram_matrix`: both prescale alike and use ``_gram_tile``."""
+    left, right = _difference_operands((residuals / bandwidth).T)
+    tiles = [lambda rows, cols, out, l=l, r=r: _gram_tile(l[:, rows], r[:, :, cols], out)
+             for l, r in zip(left[:, None], right[:, None])]
+    return [lambda m=m: _tiled_stat(gram_x, *m) for m in zip(idx, zip(*_centering(gram_x, idx)), tiles)]
+
+
 def _residual_stat(gram_x: np.ndarray, idx: np.ndarray, residuals: np.ndarray, bandwidth: float) -> HsicValue:
-    """The statistic between the predictor rows ``idx`` of ``gram_x`` and n 1-D ``residuals``
-    under a Gaussian kernel of resolved ``bandwidth``: the one path from a residual vector to
-    the statistic.  Each residual Gram tile is bit-equal to its block of
-    :func:`~hsicreg.kernels.gram_matrix`, since both prescale the points the same way and
-    build tiles with ``_gram_tile``; the operands are built once, here."""
-    left, right = _difference_operands((residuals / bandwidth).reshape(-1, 1))
-    tile = lambda rows, cols, out: _gram_tile(left[:, rows], right[:, :, cols], out)
-    return _tiled_stat(gram_x, idx, _row_sums(gram_x, idx), tile)
+    """The one path from a residual vector to the statistic: :func:`_residual_stats` of a stack of one."""
+    return _residual_stats(gram_x, idx[None], residuals[None], bandwidth)[0]()
 
 
 def hsic_sums(K, L) -> HsicValue:

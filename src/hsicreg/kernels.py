@@ -28,8 +28,8 @@ imported on the rule's first use: importing this module loads numpy alone.
 A Gram matrix is the one n x n array a test holds.  :func:`gram_matrix`
 builds it in strips of ``_TILE`` rows, so its build temporaries are one strip
 wide, and before it allocates the matrix it checks the bytes against every
-memory limit the process can see (physical memory, the cgroup v2
-``memory.max``, ``RLIMIT_AS``), raising :class:`~hsicreg.errors.MemoryLimitError`
+memory limit the process can see (physical memory, the cgroup's memory limit,
+``RLIMIT_AS``), raising :class:`~hsicreg.errors.MemoryLimitError`
 instead of letting the operating system kill the run.
 """
 from __future__ import annotations
@@ -168,39 +168,38 @@ def _memory_limits() -> tuple[tuple[int, str], ...]:
     """Every memory limit this process can see, in bytes, with its source, smallest first.
     Read once per process: every later call returns the cached tuple.
 
-    The sources are physical memory (``os.sysconf``), the cgroup v2 ``memory.max`` of the
-    process's own cgroup, and a finite ``RLIMIT_AS``; a source that cannot be read is skipped.
+    The sources are physical memory (``os.sysconf``), the memory limit of the process's own
+    cgroup (v2 ``memory.max``, or v1 ``memory.limit_in_bytes`` of the ``memory`` controller's
+    hierarchy), and a finite ``RLIMIT_AS``; a source that cannot be read is skipped.
     """
-    limits = []
-    try:
+    from contextlib import suppress  # already loaded: the function runs once per process
+    limits, groups = [], []
+    with suppress(AttributeError, ValueError, OSError):
         limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"))
-    except (AttributeError, ValueError, OSError):
-        pass
-    try:
-        with open("/proc/self/cgroup") as lines:
-            group = next(line[3:].strip() for line in lines if line.startswith("0::"))
-        path = f"/sys/fs/cgroup{group.rstrip('/')}/memory.max"
-        with open(path) as f:
+    with suppress(OSError), open("/proc/self/cgroup") as f:  # "<id>:<controllers>:<group>"; v2's is "0::<group>"
+        groups = [line.rstrip("\n").split(":", 2)[1:] for line in f if line.count(":") >= 2]
+    # v2's one hierarchy is the root; v1 mounts the memory controller's apart, under its own file name.
+    paths = [f"/sys/fs/cgroup{group.rstrip('/')}/memory.max" for controllers, group in groups if not controllers]
+    paths += [f"/sys/fs/cgroup/memory{group.rstrip('/')}/memory.limit_in_bytes"
+              for controllers, group in groups if "memory" in controllers.split(",")]
+    for path in paths:
+        with suppress(ValueError, OSError), open(path) as f:
             text = f.read().strip()
-        if text != "max":
-            limits.append((int(text), f"cgroup {path}"))
-    except (StopIteration, ValueError, OSError):
-        pass
-    try:
+            if text != "max":
+                limits.append((int(text), f"cgroup {path}"))
+    with suppress(ImportError, ValueError, OSError):
         import resource  # not on every platform
 
         soft = resource.getrlimit(resource.RLIMIT_AS)[0]
         if soft != resource.RLIM_INFINITY:
             limits.append((soft, "RLIMIT_AS"))
-    except (ImportError, ValueError, OSError):
-        pass
     return tuple(sorted(limits))
 
 
 def _check_gram_fits(n: int, grams: int = 1, processes: int = 1) -> None:
     """Raise :class:`MemoryLimitError` unless ``processes`` processes, each holding ``grams``
     n x n Grams and one build strip (8 * grams * n^2 + 8 * _TILE * n bytes), fit within
-    :func:`_memory_limits`: physical memory and the cgroup's ``memory.max`` bound them
+    :func:`_memory_limits`: physical memory and the cgroup's memory limit bound them
     together, ``RLIMIT_AS`` each alone.
 
     The permutation baseline checks its two Grams before it builds either.

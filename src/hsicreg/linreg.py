@@ -192,7 +192,7 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     if not (np.isfinite(G).all() and np.isfinite(y).all()):
         raise ValueError("design or response contains non-finite values")
 
-    (beta,), (fitted,), (cond,), (singular,), (svals,) = _solve(G[None], y[None])
+    (beta,), (fitted,), (cond,), (singular,), (svals,) = _solve(np.column_stack((G, y))[None])
     if singular:
         # The rank, the count of values above eps * max(n, d) times the largest, is read only
         # for the message: a rank below d means a condition number of (eps * max(n, d))^-2
@@ -211,20 +211,22 @@ def fit_ols(design: np.ndarray, response: np.ndarray) -> FittedModel:
     )
 
 
-def _refit_residuals(designs: np.ndarray, responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of the (k, n) result is ``fit_ols(designs[i], responses[i]).residuals``.
-
-    For (k, n, d) and (k, n) stacks of rows gathered from arrays ``fit_ols``
-    accepted, so nothing is re-validated.  Also returns the (k,) mask of the
-    members whose fit ``fit_ols`` would reject as singular; such a member's
-    residuals are not to be read.
+def _refit_residuals(design: np.ndarray, response: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> tuple:
+    """Row i of the (k, n) result is ``fit_ols(design[rows[i]], response[picks[i]]).residuals``, for
+    arrays ``fit_ols`` accepted, so nothing is re-validated, and (k, n) index stacks, gathered
+    straight into one (k, n, d + 1) stack [G* | y*].  Also returns the (k,) mask of the members
+    whose fit ``fit_ols`` would reject as singular; such a member's residuals are not to be read.
     """
-    _, fitted, _, singular, _ = _solve(designs, responses)
-    return responses - fitted, singular
+    d = design.shape[1]
+    stack = np.empty((*rows.shape, d + 1))
+    np.take(design, rows, axis=0, out=stack[..., :d], mode="clip")
+    np.take(response, picks, out=stack[..., d], mode="clip")
+    _, fitted, _, singular, _ = _solve(stack)
+    return stack[..., d] - fitted, singular
 
 
-def _solve(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Least squares of each (n, d) design in the stack ``G`` against its response in ``y``.
+def _solve(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Least squares of each (n, d) design G against its response y, in the (k, n, d + 1) stack [G | y].
 
     One ``numpy.linalg.qr`` call, a Householder QR with one LAPACK call per
     member, factors each [G | y]: the leading d x d block of its R factor is
@@ -238,8 +240,8 @@ def _solve(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     (k,), the mask of singular members (k,), whose fits are not to be read,
     and the singular values (k, d) in decreasing order.
     """
-    k, _, d = G.shape
-    factors = np.linalg.qr(np.concatenate((G, y[..., None]), axis=2), mode="r")
+    k, d = len(stack), stack.shape[2] - 1
+    factors = np.linalg.qr(stack, mode="r")
     r, qty = factors[:, :d, :d], factors[:, :d, d]
     svals = np.linalg.svd(r, compute_uv=False)
     smin = svals[:, -1]
@@ -248,7 +250,7 @@ def _solve(G: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     # An identity in place of each singular R keeps the stacked solve from failing on it.
     r = np.where(singular[:, None, None], np.eye(d), r)
     beta = np.linalg.solve(r, qty[..., None])
-    return beta[..., 0], np.matmul(G, beta)[..., 0], cond, singular, svals
+    return beta[..., 0], np.matmul(stack[..., :d], beta)[..., 0], cond, singular, svals
 
 
 def _dependent_columns_note(G: np.ndarray, rank: int) -> str:

@@ -21,6 +21,7 @@ from hsicreg import (
     KernelSpec,
     MemoryLimitError,
     ModelSpec,
+    SingularDesignError,
     draw_model,
     null_distribution_contrast,
     permutation_pvalue,
@@ -32,6 +33,7 @@ from hsicreg import (
     working_design,
 )
 from hsicreg.bootstrap import (
+    _block_indices,
     _blocks,
     _curtailed_reject,
     _null_block,
@@ -41,8 +43,8 @@ from hsicreg.bootstrap import (
     parallel_map,
 )
 from hsicreg._rng import check_integer, derive_seed, replicate_stream, substream
-from hsicreg.hsic import _residual_stat, _row_sums, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
-from hsicreg.kernels import MEDIAN, gram_matrix
+from hsicreg.hsic import _centering, _residual_stat, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
+from hsicreg.kernels import _TILE, MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
 from test_hsic import fsum_hsic
 
@@ -64,6 +66,19 @@ def reference_stream(seed, replicate, *tail):
 def draw_alone(prep, seed, replicate):
     """Null replicate ``replicate`` drawn as a block of one."""
     return _null_draws(prep, seed, range(replicate, replicate + 1))[0]
+
+
+def reference_draw(prep, seed, replicate):
+    """Null replicate ``replicate`` from the public pieces, with no block: ``replicate_indices``,
+    ``fit_ols`` on those rows (on the redraw's, if singular) and the residual statistic."""
+    for redraw in (0, 1):
+        idx_x, idx_e = replicate_indices(seed, replicate, prep.observed.n, redraw)
+        try:
+            resid = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e]).residuals
+        except SingularDesignError:
+            continue
+        return _residual_stat(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth).scaled
+    raise BootstrapAbortError(f"replicate {replicate}: singular twice")
 
 
 class TestReplicateIndices:
@@ -290,21 +305,33 @@ def test_null_draws_reproducible_and_worker_invariant():
 
 @pytest.mark.parametrize("replicates", [1, 15, 16, 17, 50])
 def test_blocks_draw_what_each_replicate_draws_alone(replicates):
-    """However B splits into blocks, on one worker or several, every null draw is bit-equal
-    to the replicate drawn as a block of one."""
-    data = toy_data(70)
-    design = DesignSpec.main_effects(2)
-    kx, ke = KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4)
-    prep = prepare_stat(data, design, kx, ke)
-    alone = [draw_alone(prep, 6, b) for b in range(replicates)]
-    for workers in (1, 2, 3):
-        blocks = _blocks(prep, replicates, workers)
-        assert [b for block in blocks for b in block] == list(range(replicates))
-        assert max(map(len, blocks)) <= 16
-        result = run_test(data, design, kx, ke, BootstrapConfig(replicates=replicates, seed=6, workers=workers))
-        assert result.null_draws.tolist() == alone, workers
-    if replicates == 50:
-        assert [len(block) for block in _blocks(prep, 50, 2)] == [7] * 7 + [1]
+    """However B splits into blocks, on one worker or several, and in blocks of 1, 2 and 16,
+    every null draw is bit-equal to the replicate drawn as a block of one, and to the one
+    drawn from the public pieces with no block, at n = 7, 40, one tile, one tile and a row,
+    and 300.  Every member's indices are ``replicate_indices``', the definition the
+    benchmark's oracle imports."""
+    for n in (7, 40, _TILE, _TILE + 1, 300):
+        data = toy_data(70, n=n, d0=1 if n < 10 else 2)
+        design = DesignSpec.main_effects(data.d0)
+        kx, ke = KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=1.4)
+        prep = prepare_stat(data, design, kx, ke)
+        alone = [draw_alone(prep, 6, b) for b in range(replicates)]
+        assert alone == [reference_draw(prep, 6, b) for b in range(replicates)], n
+        for size in (1, 2, 16):
+            for first in range(0, replicates, size):
+                block = range(first, min(first + size, replicates))
+                for b, member_x, member_e in zip(block, *_block_indices(6, block, n), strict=True):
+                    want_x, want_e = replicate_indices(6, b, n)
+                    assert np.array_equal(member_x, want_x) and np.array_equal(member_e, want_e), (n, b)
+                assert _null_draws(prep, 6, block) == alone[block.start : block.stop], (n, size, first)
+        for workers in (1, 2, 3):
+            blocks = _blocks(prep, replicates, workers)
+            assert [b for block in blocks for b in block] == list(range(replicates))
+            assert max(map(len, blocks)) <= 16
+            result = run_test(data, design, kx, ke, BootstrapConfig(replicates=replicates, seed=6, workers=workers))
+            assert result.null_draws.tolist() == alone, (n, workers)
+        if replicates == 50:
+            assert [len(block) for block in _blocks(prep, 50, 2)] == [7] * 7 + [1], n
 
 
 def _prepared_for(data, design):
@@ -705,12 +732,25 @@ class TestSingularReplicates:
         rows = np.array([replicate_indices(seed, b, 6) for b in range(40)])
         singular = [0 not in idx_x for idx_x in rows[:, 0]]
         assert any(singular) and not all(singular)
-        resid, flags = _refit_residuals(prep.design[rows[:, 0]], prep.model.centered_residuals[rows[:, 1]])
+        resid, flags = _refit_residuals(prep.design, prep.model.centered_residuals, rows[:, 0], rows[:, 1])
         assert flags.tolist() == singular
         for (idx_x, idx_e), member, flag in zip(rows, resid, singular):
             if not flag:
                 refit = fit_ols(prep.design[idx_x], prep.model.centered_residuals[idx_e])
                 np.testing.assert_array_equal(member, refit.residuals)
+
+    def test_a_singular_member_leaves_its_neighbours_draws(self):
+        """A member whose refit is singular, in the middle of a block, redraws alone: the
+        members on either side draw what they draw with no block, and so does it."""
+        seed = 0
+        prep = self._prepared()
+        rescued = next(
+            b for b in range(1, 500)
+            if not self._includes_row0(seed, b, 0) and self._includes_row0(seed, b, 1)
+            and self._includes_row0(seed, b - 1, 0) and self._includes_row0(seed, b + 1, 0)
+        )
+        block = range(rescued - 1, rescued + 2)
+        assert _null_draws(prep, seed, block) == [reference_draw(prep, seed, b) for b in block]
 
     def test_a_block_redraws_and_aborts_only_where_it_is_read(self):
         """A block refits its members together but redraws, or aborts on, a singular
@@ -1011,8 +1051,8 @@ class TestPermutationBaseline:
             expected = reference_stream(seed, replicate).permutation(37)
             np.testing.assert_array_equal(replicate_stream(seed, replicate).permutation(37), expected)
             tile = lambda rows, cols, out: gram_u[rows, cols]
-            want = _tiled_stat(gram_v, expected, _row_sums(gram_v, expected), tile).value
-            assert _perm_draw(gram_u, gram_v, _row_sums(gram_v, np.arange(37)), seed, replicate) == want
+            want = _tiled_stat(gram_v, expected, _centering(gram_v, expected), tile).value
+            assert _perm_draw(gram_u, gram_v, _centering(gram_v, np.arange(37)), seed, replicate) == want
 
     @pytest.mark.parametrize("replicates", [3, 9])
     def test_draws_share_one_row_sum_product(self, monkeypatch, replicates):
@@ -1170,8 +1210,8 @@ class TestNullDrawMeans:
         gram_u = gram_matrix(X, KernelSpec(bandwidth=2.0))
         gram_v = gram_matrix(y, KernelSpec(bandwidth=1.0))
         mean = n / (n - 1) * (1 - gram_u.mean()) * (1 - gram_v.mean())
-        row_sums = _row_sums(gram_v, np.arange(n))
-        draws = [n * _perm_draw(gram_u, gram_v, row_sums, 11, b) for b in range(NULL_MEAN_DRAWS)]
+        centering = _centering(gram_v, np.arange(n))
+        draws = [n * _perm_draw(gram_u, gram_v, centering, 11, b) for b in range(NULL_MEAN_DRAWS)]
         z = _z(draws, mean)
         assert abs(z) < NULL_MEAN_Z, f"z = {z:.2f}"
 
@@ -1200,8 +1240,8 @@ def test_draws_follow_the_enumerated_bootstrap_law():
     exact = []
     for idx_x in every:
         # This predictor-row vector against every residual vector, in one stack.
-        designs = np.broadcast_to(prep.design[idx_x], (len(every), *prep.design.shape))
-        resid, singular = _refit_residuals(designs, prep.model.centered_residuals[every])
+        rows = np.broadcast_to(idx_x, every.shape)
+        resid, singular = _refit_residuals(prep.design, prep.model.centered_residuals, rows, every)
         exact += [_residual_stat(prep.gram_x, idx_x, e, prep.kernel_e.bandwidth).scaled for e in resid[~singular]]
     assert len(exact) == len(every) ** 2 - 1024
     exact = np.sort(exact)
@@ -1235,8 +1275,8 @@ def test_permutation_draws_follow_the_enumerated_law():
     exact = np.sort([hsic_sums(gram_u, gram_v[np.ix_(perm, perm)]).value
                      for perm in map(list, itertools.permutations(range(n)))])
     assert exact.size == 720
-    row_sums = _row_sums(gram_v, np.arange(n))
-    draws = np.sort([_perm_draw(gram_u, gram_v, row_sums, 13, b) for b in range(4000)])
+    centering = _centering(gram_v, np.arange(n))
+    draws = np.sort([_perm_draw(gram_u, gram_v, centering, 13, b) for b in range(4000)])
 
     var = exact.var()
     se = math.sqrt((((exact - exact.mean()) ** 4).mean() - var**2) / draws.size)

@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram matrices, bandwidth rules, and centering."""
 
 import dataclasses
+import io
 import math
 import os
 import re
@@ -355,6 +356,35 @@ class TestMemoryGuard:
             _memory_limits.cache_clear()
             monkeypatch.setattr(os, "sysconf", unreadable)
             assert all(source != "physical memory" for _, source in _memory_limits())
+        finally:
+            _memory_limits.cache_clear()
+
+
+    @pytest.mark.parametrize("limit", [2**20, 9223372036854771712], ids=["one-MiB", "unlimited"])
+    def test_cgroup_v1_memory_limit_is_a_source(self, monkeypatch, limit):
+        """A v1 ``memory`` controller's ``memory.limit_in_bytes`` is read beside v2's
+        ``memory.max`` (here unreadable): 1 MiB stops a Gram at n = 1000, naming its file,
+        and v1's unlimited value stops nothing."""
+        group = "/jobs/one"
+        source = f"/sys/fs/cgroup/memory{group}/memory.limit_in_bytes"
+        files = {"/proc/self/cgroup": f"5:cpu,cpuacct:/\n4:memory:{group}\n0::/\n", source: f"{limit}\n"}
+
+        def fake_open(path, *args, **kwargs):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr("hsicreg.kernels.open", fake_open, raising=False)
+        _memory_limits.cache_clear()
+        try:
+            assert (limit, f"cgroup {source}") in _memory_limits()
+            assert all("memory.max" not in where for _, where in _memory_limits())
+            pts = np.random.default_rng(37).normal(size=(1000, 2))
+            if limit == 2**20:
+                with pytest.raises(MemoryLimitError, match=re.escape(f"allowed by cgroup {source}")):
+                    gram_matrix(pts, KernelSpec())
+            else:
+                assert gram_matrix(pts, KernelSpec()).shape == (1000, 1000)
         finally:
             _memory_limits.cache_clear()
 

@@ -147,7 +147,7 @@ def test_refit_residuals_bit_equal_to_fit_ols(n):
     rows, errs = rng.integers(0, n, size=(2, 50, n))
     for first, count in ((0, 16), (16, 16), (32, 1), (33, 16), (49, 1)):
         stack = slice(first, first + count)
-        resid, singular = _refit_residuals(G[rows[stack]], e[errs[stack]])
+        resid, singular = _refit_residuals(G, e, rows[stack], errs[stack])
         assert resid.shape == (count, n) and not singular.any()
         for i in range(count):
             assert np.array_equal(resid[i], fit_ols(G[rows[first + i]], e[errs[first + i]]).residuals)
@@ -161,7 +161,7 @@ def test_refit_residuals_keeps_the_singularity_rule_without_the_note():
     y = rng.normal(size=40)
     notes = []
     for G in (np.column_stack([np.ones(40), x, x]), np.column_stack([x, x + 1e-9 * rng.normal(size=40)])):
-        _, singular = _refit_residuals(G[None], y[None])
+        _, singular = _refit_residuals(G, y, np.arange(40)[None], np.arange(40)[None])
         assert singular.tolist() == [True]
         with pytest.raises(SingularDesignError) as fit:
             fit_ols(G, y)
