@@ -69,29 +69,22 @@ def replicate_stream(seed: int, replicate: int, *tail: int) -> np.random.Generat
     call, so it is valid only until this thread's next call.  A bootstrap
     replicate passes its redraw as the one tail word; a permutation passes none.
     """
-    return replicate_draws(lambda stream: stream, seed, replicate, 1, *tail)[0]
-
-
-def replicate_draws(draw, seed: int, first: int, count: int, *tail: int) -> list:
-    """``draw`` of :func:`replicate_stream` for each replicate first, ..., first + count - 1, in
-    turn, with the keys checked once; each stream is valid only until ``draw`` returns."""
     if len(tail) > 1:
         raise ValueError(f"a stream takes at most one redraw word after the replicate, got {tail!r}")
     seed = check_integer("seed", seed)
-    words = [check_integer(name, word) for name, word in zip(("replicate", "redraw"), (first, *tail))]
-    top = max(words[0] + count - 1, *words)
-    if top >= 1 << 64:
-        raise ValueError(f"replicates and redraws must be below 2**64, got {top}")
+    words = [check_integer(name, word) for name, word in zip(("replicate", "redraw"), (replicate, *tail))]
+    if max(words) >= 1 << 64:
+        raise ValueError(f"replicates and redraws must be below 2**64, got {max(words)}")
     if _streams.generator is None:  # built on first use: importing the package loads no numpy.random
         _streams.generator = np.random.Generator(np.random.Philox(0))
     if _streams.seed != seed:
         _streams.seed, _streams.key = seed, _seed_sequence(seed).generate_state(2, np.uint64).tolist()
-    # A fresh Philox's state at the seed's key: an empty output buffer and no buffered half-word.
-    state = {"bit_generator": "Philox", "state": {"key": _streams.key}, "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    draws = []
-    for replicate in range(words[0], words[0] + count):
-        state["state"]["counter"] = (0, replicate, words[-1] if tail else 0, 1 + len(tail))
-        _streams.generator.bit_generator.state = state
-        draws.append(draw(_streams.generator))
-    return draws
+    _streams.generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, words[0], words[-1] if tail else 0, 1 + len(tail)), "key": _streams.key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _streams.generator

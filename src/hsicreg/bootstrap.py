@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._rng import check_integer, replicate_draws, replicate_stream
+from ._rng import check_integer, replicate_stream
 from .errors import BootstrapAbortError
 from .hsic import PreparedStat, _centering, _free_work_memory, _residual_stats, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, _check_gram_fits, as_points, gram_matrix
@@ -113,7 +113,8 @@ def replicate_indices(seed: int, replicate: int, n: int, redraw: int = 0) -> tup
     predictor Gram in memory order; their multiset, and so the statistic
     and its resampling law, is unchanged.  A block draws them in :func:`_block_indices`.
     """
-    (idx_x,), (idx_e,) = _block_indices(seed, range(check_integer("replicate", replicate), replicate + 1), n, redraw)
+    first = check_integer("replicate", replicate)
+    (idx_x,), (idx_e,) = _block_indices(seed, range(first, first + 1), n, redraw)
     return idx_x, idx_e
 
 
@@ -121,8 +122,7 @@ def _block_indices(seed: int, replicates: range, n: int, redraw: int = 0) -> tup
     """The (k, n) stacks of :func:`replicate_indices` for the k ``replicates``: one stream
     re-key and one draw of 2n per member, then one stacked sort and two gathers."""
     # One call of 2n draws is two calls of n: numpy buffers bounded draws in the generator's state.
-    draw = lambda stream: stream.integers(0, n, size=2 * n)
-    pairs = np.array(replicate_draws(draw, seed, replicates.start, len(replicates), redraw))
+    pairs = np.array([replicate_stream(seed, b, redraw).integers(0, n, size=2 * n) for b in replicates])
     # A stable sort's order is unique, so the narrowest key that holds n - 1 gives the same
     # bits as int64, and numpy radix-sorts 8- and 16-bit keys.
     order = np.argsort(pairs[:, :n].astype(np.min_scalar_type(n - 1)), axis=1, kind="stable")

@@ -238,6 +238,9 @@ class TestReplicateStream:
     def test_numpy_integers_draw_the_python_integers_streams(self):
         np.testing.assert_array_equal(replicate_indices(np.int64(3), np.uint32(2), 10, np.int8(1)),
                                       replicate_indices(3, 2, 10, 1))
+        # A key at the top of its numpy type must not wrap when the block's range is built.
+        for top in (np.int64(2**63 - 1), np.uint64(2**64 - 1)):
+            np.testing.assert_array_equal(replicate_indices(3, top, 10), replicate_indices(3, int(top), 10))
         assert substream(np.uint64(5), np.int16(2)).random() == substream(5, 2).random()
         assert derive_seed(np.int32(5), np.uint8(2)) == derive_seed(5, 2)
         assert check_integer("n", np.int64(5), 1) == 5 and type(check_integer("n", np.int64(5), 1)) is int
