@@ -15,10 +15,10 @@ as a baseline for the no-regression setting.  The contrast that shows why is
 
 Replicates are drawn in blocks of consecutive indices (:func:`_null_block`),
 and all a member's statistic reads but its tiles is set up for the whole block
-in stacked calls (:func:`_member_stats`): the index draws, one QR refit with
-the solver of :func:`~hsicreg.linreg.fit_ols`, and the operands of
-:func:`hsicreg.hsic._residual_stats`.  A member's tile loop, or its one redraw
-if its refit was singular, runs only when its draw is consumed, so a curtailed
+in stacked calls (:func:`_member_stats`, ``None`` for a singular refit): the
+index draws, one QR refit with the solver of :func:`~hsicreg.linreg.fit_ols`,
+and the operands of :func:`hsicreg.hsic._residual_stats`.  A member's tile
+loop, or its one redraw, runs only when its draw is consumed, so a curtailed
 trial can stop mid-block.  No array a member reads depends on its block, so
 the draws are the same at every block size and worker count.
 
@@ -43,6 +43,7 @@ gathers them by its permutation.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -130,12 +131,13 @@ def _block_indices(seed: int, replicates: range, n: int, redraw: int = 0) -> tup
     return pairs.take(order), pairs.take(order + n)
 
 
-def _member_stats(prep: PreparedStat, seed: int, replicates: range, redraw: int = 0) -> tuple[list, np.ndarray]:
+def _member_stats(prep: PreparedStat, seed: int, replicates: range, redraw: int = 0) -> list:
     """Each replicate's statistic as a call that runs only its tile loop, from stacked index
-    draws, refit and operands, and the mask of the singular refits, whose calls are not to be made."""
+    draws, refit and operands, or ``None`` for a member whose refit was singular."""
     idx_x, idx_e = _block_indices(seed, replicates, prep.observed.n, redraw)
     resid, singular = _refit_residuals(prep.design, prep.model.centered_residuals, idx_x, idx_e)
-    return _residual_stats(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth), singular
+    stats = _residual_stats(prep.gram_x, idx_x, resid, prep.kernel_e.bandwidth)
+    return [None if flag else stat for stat, flag in zip(stats, singular.tolist())]
 
 
 def _replicate_stat(prep: PreparedStat, seed: int, replicate: int, stat: Callable | None) -> float:
@@ -143,8 +145,8 @@ def _replicate_stat(prep: PreparedStat, seed: int, replicate: int, stat: Callabl
     :func:`_member_stats`, or ``None`` for a singular refit: the replicate then redraws once
     (``redraw=1``), and a second singular refit raises :class:`BootstrapAbortError`."""
     if stat is None:
-        (stat,), (flag,) = _member_stats(prep, seed, range(replicate, replicate + 1), 1)
-        if flag:
+        (stat,) = _member_stats(prep, seed, range(replicate, replicate + 1), 1)
+        if stat is None:
             raise BootstrapAbortError(f"replicate {replicate}: singular refit on the draw and its one redraw; aborting")
     return stat().scaled
 
@@ -153,9 +155,8 @@ def _null_block(prep: PreparedStat, seed: int, replicates: range) -> Iterator[fl
     """The null draws of ``replicates``, one at a time, from the frozen fit in ``prep``: every
     member is set up by :func:`_member_stats` first, and its :func:`_replicate_stat`, its tile
     loop, runs only when its draw is consumed, so a caller that stops mid-block skips the rest."""
-    stats, singular = _member_stats(prep, seed, replicates)
-    for replicate, stat, flag in zip(replicates, stats, singular.tolist()):
-        yield _replicate_stat(prep, seed, replicate, None if flag else stat)
+    for replicate, stat in zip(replicates, _member_stats(prep, seed, replicates)):
+        yield _replicate_stat(prep, seed, replicate, stat)
 
 
 def _null_draws(prep: PreparedStat, seed: int, replicates: range) -> list[float]:
@@ -197,6 +198,14 @@ def _pool_size(workers: int, items: int) -> int:
     return min(workers, items)
 
 
+def _gram_copies(workers: int) -> int:
+    """The processes holding the caller's Grams while a pool of ``workers`` runs: the caller alone under
+    ``fork``, whose workers share its pages, else also every worker, which unpickles its own copy."""
+    # Read, not fixed: get_start_method() without allow_none would fix the process's start method.
+    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+    return 1 if workers <= 1 or method == "fork" else 1 + workers
+
+
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]`` on :func:`_pool_size` processes.
 
@@ -221,8 +230,12 @@ def _add_one_pvalue(exceedances: int, replicates: int) -> float:
 
 
 def pvalue_from_draws(draws: np.ndarray, statistic: float) -> float:
-    """(1 + #{draws >= statistic}) / (B + 1)."""
+    """(1 + #{draws >= statistic}) / (B + 1), for B >= 1 finite draws and a finite statistic."""
     draws = np.asarray(draws, dtype=float)
+    if draws.size == 0:
+        raise ValueError("need at least one null draw")
+    if not (np.isfinite(statistic) and np.isfinite(draws).all()):
+        raise ValueError(f"the statistic ({statistic}) and every null draw must be finite")
     return _add_one_pvalue(int(np.count_nonzero(draws >= statistic)), draws.size)
 
 
@@ -237,8 +250,9 @@ def run_test(
 ) -> TestResult:
     """Observed scaled statistic, its null draws, and the calibrated decision."""
     check_alpha(alpha)
-    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
     workers = _pool_size(config.workers, config.replicates)
+    _check_gram_fits(data.n, processes=_gram_copies(workers))
+    prep = prepare_stat(data, design, kernel_x, kernel_e, standardize)
     blocks = parallel_map(partial(_null_draws, prep, config.seed), _blocks(prep, config.replicates, workers), workers)
     draws = np.array([draw for block in blocks for draw in block])
     statistic = prep.observed.scaled
@@ -260,16 +274,8 @@ def run_test(
     )
 
 
-def _curtailed_reject(
-    data: Dataset,
-    design: DesignSpec,
-    kernel_x: KernelSpec,
-    kernel_e: KernelSpec,
-    replicates: int,
-    seed: int,
-    alpha: float,
-) -> bool:
-    """``run_test(...).reject``, drawing replicates 0, 1, ... only until it is settled.
+def _curtailed_reject(prep: PreparedStat, replicates: int, seed: int, alpha: float) -> bool:
+    """``run_test(...).reject`` for ``prep``, its ``prepare_stat``, drawing replicates 0, 1, ... only until settled.
 
     With X draws >= the statistic among the first b, the p-value is at least
     (1 + X) / (B + 1); once that exceeds ``alpha`` no later draw can bring it
@@ -285,7 +291,6 @@ def _curtailed_reject(
     refit raises :class:`BootstrapAbortError` only if it comes before the
     decision is settled.  Draws run serially in this process.
     """
-    prep = prepare_stat(data, design, kernel_x, kernel_e)
     statistic = prep.observed.scaled
     B = replicates
     draws = (draw for block in _blocks(prep, B, 1) for draw in _null_block(prep, seed, block))
@@ -317,7 +322,7 @@ def permutation_pvalue(u, v, kernel_u: KernelSpec, kernel_v: KernelSpec, config:
     u, v = as_points(u), as_points(v)
     if len(u) != len(v):
         raise ValueError(f"sample sizes differ: {len(u)} vs {len(v)}")
-    _check_gram_fits(len(u), grams=2)
+    _check_gram_fits(len(u), grams=2, processes=_gram_copies(_pool_size(config.workers, config.replicates)))
     gram_u = gram_matrix(u, kernel_u)
     gram_v = gram_matrix(v, kernel_v)
     identity = np.arange(len(u))

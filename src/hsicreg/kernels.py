@@ -205,9 +205,9 @@ def _check_gram_fits(n: int, grams: int = 1, processes: int = 1) -> None:
     The permutation baseline checks its two Grams before it builds either.
     ``power`` and ``contrast`` workers each build their own, so those entries
     check one per worker at the largest n before their pool starts.  Pool
-    workers started by ``fork`` share the caller's Gram.  Under ``spawn`` or
-    ``forkserver`` a ``test`` worker unpickles its own copy of the predictor
-    Gram and checks nothing, so the check undercounts by the worker count.
+    workers started by ``fork`` share the caller's Grams; under ``spawn`` or
+    ``forkserver`` each unpickles its own copy, so ``test`` and the
+    permutation baseline check the caller's and one per worker before they build any.
     """
     each = 8 * grams * n * n + 8 * _TILE * n
     for limit, source in _memory_limits():

@@ -200,8 +200,8 @@ def _power_trial(
     spec = grid[cell]
     sim = draw_model(spec, substream(config.seed, cell, trial, 0))
     try:
-        reject = _curtailed_reject(sim.data, working_design(spec), *study_kernels(spec.dim), config.replicates,
-                                   derive_seed(config.seed, cell, trial, 1), alpha)
+        prep = prepare_stat(sim.data, working_design(spec), *study_kernels(spec.dim))
+        reject = _curtailed_reject(prep, config.replicates, derive_seed(config.seed, cell, trial, 1), alpha)
     except (BootstrapAbortError, DegenerateDataError, SingularDesignError):
         return False, True
     return reject, False

@@ -292,6 +292,19 @@ class TestPvalueFromDraws:
     def test_never_zero(self):
         assert pvalue_from_draws(np.zeros(999), 5.0) == 1 / 1000
 
+    @pytest.mark.parametrize(
+        "draws, statistic, message",
+        [([], 1.0, "at least one null draw"), ([1.0, 2.0, 3.0], np.nan, "must be finite"),
+         ([1.0, 2.0, 3.0], np.inf, "must be finite"), ([np.nan, 2.0, 3.0], 2.5, "must be finite"),
+         ([1.0, -np.inf, 3.0], 0.5, "must be finite")],
+        ids=["no-draws", "nan-statistic", "inf-statistic", "nan-draw", "inf-draw"],
+    )
+    def test_refuses_what_it_cannot_count(self, draws, statistic, message):
+        """No draw, or a non-finite value, has no add-one p-value: NaN compares false, so a NaN
+        statistic would read as the smallest p-value and a NaN draw as one below the statistic."""
+        with pytest.raises(ValueError, match=message):
+            pvalue_from_draws(draws, statistic)
+
 
 def test_null_draws_reproducible_and_worker_invariant():
     data = toy_data(71)
@@ -596,6 +609,36 @@ def test_rlimit_as_counts_one_gram_per_worker(entry, monkeypatch, pool_sizes):
     assert pool_sizes == [2]
 
 
+#: The entries whose pool workers unpickle the caller's Grams, with the Grams each holds.
+_PICKLING_ENTRIES = {
+    "run_test": (1, lambda workers: run_test(toy_data(74, n=200), DesignSpec.main_effects(2), KernelSpec(),
+                                             KernelSpec(), BootstrapConfig(19, workers=workers))),
+    "permutation_pvalue": (2, lambda workers: permutation_pvalue(*np.random.default_rng(75).random((2, 200)),
+                                                                 KernelSpec(), KernelSpec(),
+                                                                 BootstrapConfig(19, workers=workers))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PICKLING_ENTRIES))
+def test_a_pickling_pool_counts_the_callers_grams_and_one_copy_per_worker(entry, monkeypatch, pool_sizes):
+    """Under spawn or forkserver each worker unpickles its own copy of the caller's Grams, so a
+    limit that holds two copies refuses two workers (three copies) before any pool starts;
+    under fork the workers share the caller's pages, and the same call runs."""
+    grams, call = _PICKLING_ENTRIES[entry]
+    each = 8 * grams * 200 * 200 + 8 * _TILE * 200
+    monkeypatch.setattr("hsicreg.kernels._memory_limits", lambda: ((2 * each, "physical memory"),))
+    for method in ("spawn", "forkserver", "fork"):
+        monkeypatch.setattr("multiprocessing.get_start_method", lambda allow_none=False: method)
+        if method == "fork":
+            call(2)
+        else:
+            message = f"^{3 * grams} n x n Gram matrix[(]es[)] at n = 200 in 3 processes"
+            with pytest.raises(MemoryLimitError, match=message):
+                call(2)
+            assert pool_sizes == []
+    assert pool_sizes == [2]
+
+
 def test_null_draws_change_with_seed():
     data = toy_data(72)
     design = DesignSpec.main_effects(2)
@@ -814,7 +857,7 @@ class TestCurtailedReject:
                     data = draw_model(spec, substream(B, trial)).data
                     config = BootstrapConfig(replicates=B, seed=trial)
                     drawn.clear()
-                    decision = _curtailed_reject(data, *args, B, trial, 0.05)
+                    decision = _curtailed_reject(prepare_stat(data, *args), B, trial, 0.05)
                     evaluated = list(drawn)
                     full = run_test(data, *args, config, 0.05)
                     assert decision == full.reject
@@ -842,12 +885,13 @@ class TestCurtailedReject:
         assert k == _largest_accepted_count(B, alpha)
         data = toy_data(81)
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
-        observed = prepare_stat(data, *args).observed.scaled
+        prep = prepare_stat(data, *args)
+        observed = prep.observed.scaled
         exceedances = max(k + extra, 0)
         hits = set(range(1, 2 * exceedances, 2))  # ties with the statistic count
         drawn = _recording(monkeypatch, lambda prep, seed, b, *member: observed if b in hits else -1.0)
 
-        decision = _curtailed_reject(data, *args, B, 0, alpha)
+        decision = _curtailed_reject(prep, B, 0, alpha)
         evaluated = list(drawn)
         drawn.clear()
         full = run_test(data, *args, BootstrapConfig(replicates=B, seed=0), alpha)
@@ -856,9 +900,25 @@ class TestCurtailedReject:
         assert decision == full.reject == (exceedances <= k)
         assert evaluated == list(range(_settle_point([b in hits for b in range(B)], B, k)))
 
+    @pytest.mark.parametrize("B", [19, 199])
+    def test_an_unstandardized_fit_decides_as_run_test(self, B):
+        """The trial's own prep carries its standardize switch, so an unstandardized fit
+        decides as run_test(..., standardize=False) does."""
+        decisions = set()
+        for spec in (ModelSpec("model2", n=50), ModelSpec("model2", n=50, a=1.0)):
+            args = (working_design(spec), *study_kernels(spec.dim))
+            for seed in range(6):
+                data = draw_model(spec, substream(B, seed)).data
+                prep = prepare_stat(data, *args, standardize=False)
+                full = run_test(data, *args, BootstrapConfig(replicates=B, seed=seed), 0.05, standardize=False)
+                assert _curtailed_reject(prep, B, seed, 0.05) == full.reject
+                decisions.add(full.reject)
+        assert decisions == {False, True}
+
     def test_abort_counts_only_before_the_decision_is_settled(self, monkeypatch):
         data = toy_data(82)
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+        prep = prepare_stat(data, *args)
 
         def draws(settle_at, abort_at):
             def draw(prep, seed, b, *member):
@@ -868,21 +928,21 @@ class TestCurtailedReject:
             return draw
 
         drawn = _recording(monkeypatch, draws(settle_at=2, abort_at=3))
-        assert not _curtailed_reject(data, *args, 19, 0, 0.05)
+        assert not _curtailed_reject(prep, 19, 0, 0.05)
         assert drawn == [0, 1, 2]
         with pytest.raises(BootstrapAbortError):
             run_test(data, *args, BootstrapConfig(replicates=19, seed=0), 0.05)
         _recording(monkeypatch, draws(settle_at=3, abort_at=2))
         with pytest.raises(BootstrapAbortError):
-            _curtailed_reject(data, *args, 19, 0, 0.05)
+            _curtailed_reject(prep, 19, 0, 0.05)
         # Rejection side: with B = 199 (k = 9) and no draw at the statistic, the
         # decision is settled after 190 draws.
         drawn = _recording(monkeypatch, draws(settle_at=None, abort_at=190))
-        assert _curtailed_reject(data, *args, 199, 0, 0.05)
+        assert _curtailed_reject(prep, 199, 0, 0.05)
         assert drawn == list(range(190))
         _recording(monkeypatch, draws(settle_at=None, abort_at=189))
         with pytest.raises(BootstrapAbortError):
-            _curtailed_reject(data, *args, 199, 0, 0.05)
+            _curtailed_reject(prep, 199, 0, 0.05)
 
     def test_real_singular_replicates_before_and_after_the_stop(self):
         """A spiky column makes resamples without row 0 singular, twice over for some replicates."""
@@ -890,6 +950,7 @@ class TestCurtailedReject:
         spike = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         data = Dataset(np.column_stack([x, spike]), np.array([2.0, 1.0, 3.0, 2.5, 4.0, 3.5]))
         args = (DesignSpec.main_effects(2), KernelSpec(), KernelSpec())
+        prep = prepare_stat(data, *args)
 
         def outcome(call):
             try:
@@ -900,7 +961,7 @@ class TestCurtailedReject:
         seen = []
         for seed in range(40):
             full = outcome(lambda: run_test(data, *args, BootstrapConfig(replicates=19, seed=seed), 0.05).reject)
-            curtailed = outcome(lambda: _curtailed_reject(data, *args, 19, seed, 0.05))
+            curtailed = outcome(lambda: _curtailed_reject(prep, 19, seed, 0.05))
             if full == "abort":
                 assert curtailed in (False, "abort")
                 seen.append(curtailed)
@@ -923,7 +984,7 @@ class TestCurtailedReject:
             config = BootstrapConfig(replicates=19, seed=seed)
             drawn.clear()
             try:
-                decision = _curtailed_reject(*args, config.replicates, config.seed, 0.05)
+                decision = _curtailed_reject(prep, config.replicates, config.seed, 0.05)
             except BootstrapAbortError:
                 continue
             stop = len(drawn)
@@ -943,7 +1004,7 @@ class TestCurtailedReject:
         spec = ModelSpec("model1", n=50)
         data = draw_model(spec, substream(0, 0)).data
         args = (data, working_design(spec), *study_kernels(spec.dim))
-        assert not _curtailed_reject(*args, 199, 3, 0.05)
+        assert not _curtailed_reject(prepare_stat(*args), 199, 3, 0.05)
         assert len(drawn) < 199
         drawn.clear()
         res = run_test(*args, BootstrapConfig(replicates=199, seed=3), 0.05)
