@@ -24,15 +24,14 @@ the draws are the same at every block size and worker count.
 
 Kernels and bandwidths are frozen from the original fit: replicates are never
 re-standardized, never re-resolve a median bandwidth and gather nothing n x n.
-The tile loop reads the frozen predictor Gram and works in T*n + 2*T^2 floats
-that its thread reuses from one call to the next (:func:`parallel_map` frees
-the calling thread's set before it starts a pool); a block of k adds k x n row
-sums and four k x n x 2 operand stacks.  Every draw, a replicate's or a
-permutation's, resets its thread's one Philox generator
-(:func:`hsicreg._rng.replicate_stream`) instead of building one: the key is the
-seed's, and the counter tells the streams apart (Salmon, Moraes, Dror & Shaw,
-SC 2011), ``(0, replicate, redraw, 2)`` for a replicate and
-``(0, replicate, 0, 1)`` for a permutation.
+The tile loop reads the frozen predictor Gram and works in one buffer of
+T*n + 2*T^2 floats per call, which glibc's heap hands to the next call with its
+pages still mapped; a block of k adds k x n row sums and four k x n x 2 operand
+stacks.  Every draw, a replicate's or a permutation's, resets its thread's one
+Philox generator (:func:`hsicreg._rng.replicate_stream`) instead of building
+one: the key is the seed's, and the counter tells the streams apart (Salmon,
+Moraes, Dror & Shaw, SC 2011), ``(0, replicate, redraw, 2)`` for a replicate
+and ``(0, replicate, 0, 1)`` for a permutation.
 
 A permutation draw goes through the same tile loop (:func:`_perm_draw`): it
 gathers the second Gram by the permutation and reads the first in tiles, so
@@ -54,7 +53,7 @@ import numpy as np
 
 from ._rng import check_integer, replicate_stream
 from .errors import BootstrapAbortError
-from .hsic import PreparedStat, _centering, _free_work_memory, _residual_stats, _tiled_stat, prepare_stat
+from .hsic import PreparedStat, _centering, _residual_stats, _tiled_stat, prepare_stat
 from .kernels import KernelSpec, _check_gram_fits, as_points, gram_matrix
 from .linreg import Dataset, DesignSpec, _refit_residuals
 
@@ -219,7 +218,6 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     if workers <= 1:
         return [fn(item) for item in items]
     chunk = max(1, -(-len(items) // (workers * 4)))
-    _free_work_memory()  # the calling thread draws nothing while the pool runs
     with ProcessPoolExecutor(max_workers=workers, initializer=_install_worker_fn, initargs=(fn,)) as pool:
         return list(pool.map(_apply_worker_fn, items, chunksize=chunk))
 

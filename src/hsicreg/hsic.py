@@ -18,7 +18,6 @@ so results depend neither on the platform's ``long double`` width nor on BLAS.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,40 +66,6 @@ def _check_gram_pair(K, L) -> tuple[np.ndarray, np.ndarray, int]:
     return K, L, n
 
 
-class _WorkMemory(threading.local):
-    """One thread's scratch arrays and the shapes they were made for."""
-
-    shapes: tuple = ()
-    arrays: tuple = ()
-
-
-_work_memory = _WorkMemory()
-
-
-def _work_arrays(*shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Uninitialized float64 arrays of ``shapes``, owned by this thread and reused while
-    its calls ask for the same shapes.
-
-    glibc serves an array of 128 KiB or more from its own mapping and may
-    unmap it on free, so one made afresh on every call can be faulted in page
-    by page on every call.  Each thread keeps one set: a caller must be done
-    with its arrays before it, or anything it calls, asks for another set.
-    """
-    if _work_memory.shapes != shapes:
-        _work_memory.arrays = ()  # free the old set before making the new one
-        _work_memory.arrays = tuple(np.empty(shape) for shape in shapes)
-        _work_memory.shapes = shapes
-    return _work_memory.arrays
-
-
-def _free_work_memory() -> None:
-    """Free this thread's work arrays: :func:`hsicreg.bootstrap.parallel_map` does, just
-    before it starts a pool.  Arrays kept in the calling process while a pool ran left
-    holes in glibc's heap that the next n x n Gram could not reuse (peak RSS 6 MiB higher
-    in some 20 s loops of ``run_test`` at n = 1000 on two workers)."""
-    _work_memory.shapes = _work_memory.arrays = ()
-
-
 def hsic_vstat(K, L) -> HsicValue:
     """n^-2 sum_ij K_ij (HLH)_ij for two exactly symmetric Grams: the tiled kernel
     centers ``L`` and reads ``K`` in slices, so neither input is changed or copied whole.
@@ -142,9 +107,7 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, centering: tuple, tile: Callable
     a caller with many draws builds in one go; ``tile(rows, cols, out)``
     returns block [rows, cols] of the symmetric Gram L, built into the work
     buffer ``out`` or read from memory the source holds.  Neither n x n matrix
-    is formed; the loop works in T*n + 2*T^2 floats that its thread keeps from
-    one call to the next (:func:`_work_arrays`) until a call at another n asks
-    for new shapes or a process pool starts (:func:`_free_work_memory`):
+    is formed; the loop works in one buffer of T*n + 2*T^2 floats, made per call:
 
     * a centered tile is K[idx_I, idx_J] minus the product of the
       ``centering`` operands, written into the L buffer before the L tile
@@ -158,7 +121,9 @@ def _tiled_stat(K: np.ndarray, idx: np.ndarray, centering: tuple, tile: Callable
     """
     n = idx.shape[0]
     t = min(_TILE, n)
-    rows, k_flat, l_flat = _work_arrays((t, n), (t * t,), (t * t,))
+    # glibc's dynamic mmap threshold keeps a freed buffer of this size on the heap for the next call.
+    work = np.empty(t * n + 2 * t * t)
+    rows, k_flat, l_flat = work[: t * n].reshape(t, n), work[t * n : t * n + t * t], work[t * n + t * t :]
     row_ops, col_ops = centering
     total = 0.0
     for top in range(0, n, _TILE):

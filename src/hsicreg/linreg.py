@@ -53,9 +53,14 @@ class Dataset:
         if not np.isfinite(y).all():
             raise ValueError("response contains non-finite values")
         if self.predictor_names is not None:
+            if isinstance(self.predictor_names, str):
+                raise ValueError(f"predictor names must be a sequence, not the string {self.predictor_names!r}")
             names = tuple(str(s) for s in self.predictor_names)
             if len(names) != X.shape[1]:
                 raise ValueError(f"{len(names)} predictor names for {X.shape[1]} columns")
+            repeated = sorted({s for s in names if names.count(s) > 1})
+            if repeated:
+                raise ValueError(f"predictor names must be distinct: {', '.join(map(repr, repeated))} repeated")
             object.__setattr__(self, "predictor_names", names)
         object.__setattr__(self, "predictors", X)
         object.__setattr__(self, "response", y)

@@ -1,5 +1,7 @@
 """Null calibration: resampling streams, the bootstrap loop, and baselines."""
 
+import gc
+import inspect
 import itertools
 import math
 import os
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import hsicreg.bootstrap
+import hsicreg.hsic
 from hsicreg import (
     BasisTerm,
     BootstrapAbortError,
@@ -43,7 +46,7 @@ from hsicreg.bootstrap import (
     parallel_map,
 )
 from hsicreg._rng import check_integer, derive_seed, replicate_stream, substream
-from hsicreg.hsic import _centering, _residual_stat, _tiled_stat, _work_memory, hsic_sums, hsic_vstat, prepare_stat
+from hsicreg.hsic import _centering, _residual_stat, _tiled_stat, hsic_sums, hsic_vstat, prepare_stat
 from hsicreg.kernels import _TILE, MEDIAN, gram_matrix
 from hsicreg.linreg import _refit_residuals, fit_ols
 from test_hsic import fsum_hsic
@@ -377,10 +380,11 @@ def test_replicate_allocates_no_n_by_n_array():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts as Linux reports them")
 def test_replicates_reuse_their_work_memory():
-    """A replicate at n = 200 asks for 128 x 200 and two 128 x 128 float arrays, each at
-    least 128 KiB.  Made afresh, glibc hands them back to the kernel on free and the next
-    replicate faults them in again, about a hundred pages; reused, none.  A block's
-    stacks stay under 128 KiB each, so the heap serves them without faults either."""
+    """A replicate at n = 200 takes one buffer of 128 x 200 + 2 x 128 x 128 floats, 456 KiB.
+    glibc maps a chunk that large on its own, but freeing it raises the mmap threshold to
+    its size, so from the next call on the heap hands the buffer back with its pages still
+    mapped and no replicate faults them in.  A block's stacks stay under 128 KiB each, so
+    the heap serves them without faults either."""
     import resource
 
     n = 200
@@ -395,10 +399,41 @@ def test_replicates_reuse_their_work_memory():
     assert per_replicate < 2, f"{per_replicate:.1f} minor faults per replicate"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor fault counts as Linux reports them")
+def test_permutation_draws_fault_no_page_in():
+    """A permutation draw at n = 200 takes the same one work buffer per call as a replicate,
+    so after a few draws the heap hands it back with its pages still mapped."""
+    import resource
+
+    n = 200
+    rng = np.random.default_rng(76)
+    gram_u = gram_matrix(rng.random((n, 2)), KernelSpec())
+    gram_v = gram_matrix(rng.random(n), KernelSpec())
+    centering = _centering(gram_v, np.arange(n))
+    for b in range(5):
+        _perm_draw(gram_u, gram_v, centering, 1, b)
+    draws = 200
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for b in range(5, 5 + draws):
+        _perm_draw(gram_u, gram_v, centering, 1, b)
+    per_draw = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / draws
+    assert per_draw < 2, f"{per_draw:.1f} minor faults per permutation draw"
+
+
+def _live_work_buffers() -> int:
+    """How many numpy buffers made by the line of :func:`_tiled_stat` that makes its work
+    buffer are allocated now, as tracemalloc sees them."""
+    lines, first = inspect.getsourcelines(_tiled_stat)
+    lineno = first + next(i for i, line in enumerate(lines) if "np.empty(" in line)
+    where = tracemalloc.Filter(True, hsicreg.hsic.__file__, lineno, domain=np.lib.tracemalloc_domain)
+    return len(tracemalloc.take_snapshot().filter_traces([where]).traces)
+
+
 @pytest.mark.parametrize("entry", ["run_test", "permutation", "power_study", "contrast"])
-def test_a_pool_starts_with_no_work_memory_in_the_caller(entry, monkeypatch):
-    """A pooled call draws nothing in the calling thread, so parallel_map frees that
-    thread's work arrays just before it starts the pool."""
+def test_no_work_buffer_outlives_its_call(entry, monkeypatch):
+    """A tile loop's work buffer lives only while its call runs: none is held in the caller
+    when a pool starts, where it could leave a hole in the heap that the next n x n Gram
+    cannot reuse, nor once the call and its result are dropped."""
     data = toy_data(74, n=200, d0=4)
     args = (data, DesignSpec.main_effects(4), KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4))
     config = BootstrapConfig(replicates=20, workers=2)
@@ -412,29 +447,31 @@ def test_a_pool_starts_with_no_work_memory_in_the_caller(entry, monkeypatch):
     pool = hsicreg.bootstrap.ProcessPoolExecutor
 
     def recording_pool(*pool_args, **pool_kwargs):
-        held.append(_work_memory.arrays)
+        held.append(_live_work_buffers())
         return pool(*pool_args, **pool_kwargs)
 
     monkeypatch.setattr(hsicreg.bootstrap, "ProcessPoolExecutor", recording_pool)
-    draw_alone(prepare_stat(*args), 0, 0)
-    assert _work_memory.arrays
-    calls[entry]()
-    assert held == [()]
-
-
-def test_serial_calls_at_one_n_reuse_one_set_of_work_memory():
-    """Without a pool, a thread keeps its work arrays from one call to the next."""
-    args = (toy_data(75, n=200, d0=4), DesignSpec.main_effects(4), KernelSpec(bandwidth=4.0), KernelSpec(bandwidth=1.4))
-    run_test(*args, BootstrapConfig(replicates=20))
-    held = _work_memory.arrays
-    assert held
-    run_test(*args, BootstrapConfig(replicates=20, seed=1))
-    assert _work_memory.arrays is held
+    gram, idx = prepare_stat(*args).gram_x, np.arange(200)
+    seen = []
+    tracemalloc.start()
+    try:
+        # The count sees the buffer of a running call, so a count of 0 below means none is held.
+        _tiled_stat(gram, idx, _centering(gram, idx),
+                    lambda rows, cols, out: seen.append(_live_work_buffers()) or gram[rows, cols])
+        result = calls[entry]()
+        del result
+        gc.collect()
+        after = _live_work_buffers()
+    finally:
+        tracemalloc.stop()
+    assert set(seen) == {1}
+    assert held == [0]
+    assert after == 0
 
 
 def test_concurrent_tests_in_threads_equal_serial_runs():
-    """Work memory and generators are per thread, so two run_test calls at different n
-    running at once draw what each draws alone."""
+    """Work buffers are per call and generators per thread, so two run_test calls at
+    different n running at once draw what each draws alone."""
     cases = []
     for n, seed in ((200, 11), (150, 12)):
         data = toy_data(seed, n=n, d0=4)

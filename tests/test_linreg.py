@@ -35,6 +35,15 @@ def test_dataset_validation():
         Dataset(np.empty((0, 1)), np.empty(0))
 
 
+def test_dataset_rejects_a_bare_string_or_repeated_predictor_names():
+    X, y = np.ones((3, 2)), np.zeros(3)
+    with pytest.raises(ValueError, match="not the string 'ab'"):
+        Dataset(X, y, "ab")
+    with pytest.raises(ValueError, match="must be distinct: 'a' repeated"):
+        Dataset(X, y, ("a", "a"))
+    assert Dataset(X, y, ["a", "b"]).names() == ("a", "b")
+
+
 def test_design_labels_and_dimensions():
     spec = DesignSpec.parse("1 + x1 + x2 + x1*x2 + x2^2", ("x1", "x2"))
     assert spec.d == 5
